@@ -1,9 +1,11 @@
 """Fertilities of permutations under the stack-sorting map.
 
-The package computes the number of stack-sorting preimages of a word by
-enumerating its valid hook configurations, checks that count against a
-brute-force oracle, constructs witnesses for prescribed fertilities and
-searches symmetric groups for attainable values.
+The package computes the number of stack-sorting preimages of a word with
+the recursion s(L n R) = s(L) s(R) n over the intervals of the word, exposes
+its valid hook configurations and their Catalan-weighted compositions (the
+paper's formula for the same count, used as a cross-check), checks the count
+against a brute-force oracle, constructs witnesses for prescribed
+fertilities and searches symmetric groups for attainable values.
 """
 from .cache import CacheRecord, append_records, audit, cache_key, load, read_records
 from .errors import (
@@ -21,6 +23,7 @@ from .errors import (
     StacksortError,
     SumMismatchError,
     UnsortedPermutationError,
+    VerificationFailedError,
 )
 from .families import (
     WitnessReport,

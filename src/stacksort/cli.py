@@ -28,10 +28,10 @@ def _load_cache(path: str | None) -> dict[str, int]:
     return cache_mod.load(path) if path else {}
 
 
-def _store_cache(path: str | None, entries: dict[Perm, int]) -> None:
+def _store_cache(path: str | None, entries: dict[Perm, int], known: dict[str, int]) -> None:
+    """Append the entries that ``known``, the table loaded from ``path``, lacks."""
     if not path or not entries:
         return
-    known = cache_mod.load(path)
     fresh = []
     for perm, value in entries.items():
         key = cache_mod.cache_key(perm)
@@ -58,7 +58,7 @@ def _cmd_fertility(args) -> int:
         cached = table.get(cache_mod.cache_key(p)) if args.early_exit is None else None
         values["vhc"] = cached if cached is not None else fertility(p, early_exit=args.early_exit)
         if cached is None and values["vhc"] is not None:
-            _store_cache(args.cache, {p: values["vhc"]})
+            _store_cache(args.cache, {p: values["vhc"]}, table)
     if args.method in ("brute", "both"):
         values["brute"] = fertility_brute(p, limit=args.max_n)
     exceeded = "vhc" in values and values["vhc"] is None
@@ -130,7 +130,8 @@ def _cmd_spectrum(args) -> int:
             writer.writerow(["value", "witness"])
             for v in values:
                 writer.writerow([v, _canon(report.witnesses[v])])
-    _store_cache(args.cache, {w: v for v, w in report.witnesses.items()})
+    _store_cache(args.cache, {w: v for v, w in report.witnesses.items()},
+                 _load_cache(args.cache))
     if args.json:
         _emit_json({"n": report.n, "achieved": [str(v) for v in values],
                     "witnesses": {str(v): _canon(report.witnesses[v]) for v in values}})
@@ -146,7 +147,7 @@ def _cmd_classify(args) -> int:
     table = _load_cache(args.cache)
     result = search.classify(args.f, args.max_n, jobs=args.jobs, cache=table)
     if result.witness is not None:
-        _store_cache(args.cache, {result.witness: result.f})
+        _store_cache(args.cache, {result.witness: result.f}, table)
     if args.json:
         obj = {"f": str(result.f), "verdict": result.verdict, "searched_n": result.searched_n}
         if result.witness is not None:
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("perm", nargs="+")
     cmd.add_argument("--method", choices=("vhc", "brute", "both"), default="vhc")
     cmd.add_argument("--early-exit", type=int, default=None, metavar="F",
-                     help="stop once the running sum exceeds F (vhc method)")
+                     help="report 'exceeded' when the fertility exceeds F (vhc method)")
     cmd.add_argument("--max-n", type=int, default=9, metavar="N",
                      help="brute-force size limit")
     cmd.add_argument("--cache", metavar="FILE", help="JSON-lines fertility cache")

@@ -60,3 +60,7 @@ class HypothesisViolatedError(StacksortError):
 
 class CorruptRecordError(StacksortError):
     """A cache line failed to parse or disagrees with the engine."""
+
+
+class VerificationFailedError(StacksortError):
+    """A result failed a check the library makes on its own output."""

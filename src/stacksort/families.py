@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .errors import VerificationFailedError
 from .hooks import fertility
 from .perms import Perm, bracket, direct_sum, drop_final_max
 
@@ -87,7 +88,8 @@ class WitnessReport:
 
 def _verified(f: int, perm: Perm, method: str) -> WitnessReport:
     got = fertility(perm)
-    assert got == f, f"construction for {f} produced fertility {got}"
+    if got != f:
+        raise VerificationFailedError(f"construction for {f} produced fertility {got}")
     return WitnessReport(f, perm, method)
 
 

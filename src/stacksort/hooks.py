@@ -1,10 +1,22 @@
 """Hook configurations and the fertility of a permutation.
 
 The number of stack-sorting preimages of a word can be computed without ever
-enumerating preimages. Draw the plot of ``p`` (1-based columns and values).
-A *hook* runs from a southwest endpoint (i, p_i) vertically up and then right
-to a northeast endpoint (j, p_j); this forces i < j and p_i < p_j. A *valid
-hook configuration* places one hook per descent, subject to:
+enumerating preimages. :func:`fertility` does it with the defining recursion
+of the map: ``s(L n R) = s(L) s(R) n`` around the maximum ``n``, so a
+nonempty word ``w`` has preimages only when it ends in its maximum, and then
+
+    fert(w) = sum over i of fert(w[:i]) * fert(w[i:-1]),
+
+the split i marking where ``s(L)`` ends. Every term is the fertility of an
+interval of ``w``, so a table over intervals gives the exact count in
+polynomial time, whatever the number of hook configurations.
+
+The hook model is the structural view of the same number, and the rest of
+this module implements it. Draw the plot of ``p`` (1-based columns and
+values). A *hook* runs from a southwest endpoint (i, p_i) vertically up and
+then right to a northeast endpoint (j, p_j); this forces i < j and
+p_i < p_j. A *valid hook configuration* places one hook per descent,
+subject to:
 
 1. the southwest endpoints are exactly the descent tops;
 2. no plot point lies strictly above a hook, i.e. p_x < p_j for all i < x < j;
@@ -18,8 +30,9 @@ and every other point takes the color of the lowest hook passing over its
 column, or the sky color if none does (a southwest endpoint looks past its
 own hook). Counting points per color, sky first, gives a composition
 (q_0, ..., q_k) of n - k into k + 1 positive parts; distinct configurations
-induce distinct compositions. The fertility of ``p`` is the sum, over the
-induced compositions, of the products of Catalan numbers of the parts.
+induce distinct compositions. The fertility of ``p`` is also the sum, over
+the induced compositions, of the products of Catalan numbers of the parts;
+the test suite holds :func:`fertility` to that formula.
 
 Configurations are produced in a canonical order: descents are filled left to
 right and northeast columns scanned increasingly, so the output is sorted
@@ -39,6 +52,7 @@ from .errors import (
     ReductionNotFoundError,
     SumMismatchError,
     UnsortedPermutationError,
+    VerificationFailedError,
 )
 from .perms import Perm, descents, normalize
 
@@ -258,29 +272,76 @@ def composition_weight(q: Sequence[int]) -> int:
 
 
 def fertility(p: Sequence[int], early_exit: int | None = None) -> int | None:
-    """Number of stack-sorting preimages of ``p``, by the hook formula.
+    """Number of stack-sorting preimages of ``p``, by the interval recursion.
 
-    Sums the Catalan weight of every induced composition; an unsorted word
-    has fertility 0. When ``early_exit`` is given, returns ``None`` as soon
-    as the running sum exceeds it (an exact result equal to ``early_exit``
-    is still returned).
+    An unsorted word has fertility 0. When ``early_exit`` is given, returns
+    ``None`` if the fertility exceeds it (an exact result equal to
+    ``early_exit`` is still returned, and so is a fertility of 0).
 
     >>> fertility((3, 1, 4, 2, 5, 6, 7))
     27
     >>> fertility((2, 1))
     0
     """
-    total = 0
-    seen: set[Composition] = set()
-    for config in iter_vhc(p):
-        q = induced_composition(p, config)
-        if q in seen:
-            continue
-        seen.add(q)
-        total += composition_weight(q)
-        if early_exit is not None and total > early_exit:
-            return None
+    total = _interval_fertility(tuple(p))
+    if total and early_exit is not None and total > early_exit:
+        return None
     return total
+
+
+def _interval_fertility(w: Perm) -> int:
+    """fert(w) from the table F(a, b) = fert(w[a:b]).
+
+    F(a, a) = 1, and for a < b, with r = b - 1,
+
+        F(a, b) = sum_{i=a}^{r} F(a, i) * F(i, r)   if w[r] = max w[a:b],
+
+    else 0. So F(a, b) vanishes for a at or before the previous greater
+    entry of w[r], and an increasing interval of length L has F = catalan(L).
+    ``rows[b]`` keeps the nonzero F(a, b), keyed by a in decreasing order,
+    which lets each sum stop at the first a left of its bound. Loops only:
+    witnesses thousands of entries long are verified here.
+    """
+    n = len(w)
+    if n == 0:
+        return 1
+    if w[-1] != max(w):
+        return 0
+    prev_greater: list[int] = []  # index of the previous greater entry, or -1
+    run_start: list[int] = []  # first index of the increasing run ending here
+    stack: list[int] = []
+    for k, v in enumerate(w):
+        while stack and w[stack[-1]] < v:
+            stack.pop()
+        prev_greater.append(stack[-1] if stack else -1)
+        stack.append(k)
+        run_start.append(run_start[-1] if k and w[k - 1] < v else k)
+    if run_start[-1] == 0:
+        return catalan(n)
+    cat = [catalan(j) for j in range(max(k - start for k, start in enumerate(run_start)) + 2)]
+
+    rows: list[dict[int, int]] = [{0: 1}]
+    for b in range(1, n + 1):
+        r = b - 1
+        lo, rs = prev_greater[r] + 1, run_start[r]
+        # F(a, b) for rs <= a <= b is a Catalan number; the sums fill a < rs.
+        # Pushing each nonzero F(i, r) into the F(a, i) it multiplies touches
+        # nonzero products only.
+        acc: dict[int, int] = {}
+        for i, f_ir in rows[r].items():
+            if i < lo:
+                break
+            left = rows[i].items()
+            # skip the first i - rs + 1 keys of rows[i] (a = i .. rs): set below
+            for a, f_ai in itertools.islice(left, i - rs + 1, None) if i >= rs else left:
+                if a < lo:
+                    break
+                acc[a] = acc.get(a, 0) + f_ai * f_ir
+        row = {a: cat[b - a] for a in range(b, rs - 1, -1)}
+        for a in sorted(acc, reverse=True):
+            row[a] = acc[a]
+        rows.append(row)
+    return rows[n].get(0, 0)
 
 
 def is_sorted(p: Sequence[int]) -> bool:
@@ -399,7 +460,8 @@ def reduce_stationary(p: Sequence[int], i: int) -> Perm:
         raise PreconditionFailedError(f"part {i} is not 1 in every induced composition")
 
     hook = configs[0][i - 1]
-    assert all(c[i - 1] == hook for c in configs), "a forced part implies a stationary hook"
+    if any(c[i - 1] != hook for c in configs):
+        raise VerificationFailedError(f"part {i} is forced but hook {i} is not stationary")
 
     target = _project(comps, i)
     candidate = normalize(_reduction_candidate(word, hook))

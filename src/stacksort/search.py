@@ -60,7 +60,7 @@ def _spectrum_block(args: tuple[int, int]) -> dict[int, Perm]:
 
 
 def spectrum(n: int, jobs: int = 1) -> SpectrumReport:
-    """Every positive fertility attained in S_n, via the hook engine.
+    """Every positive fertility attained in S_n, by the fertility kernel.
 
     Witnesses are lexicographically least, regardless of ``jobs``: blocks are
     split on the first entry and merged by minimum.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stacksort import cache as cache_mod
 from stacksort import fertility, spectrum
 from stacksort.cli import main
 
@@ -12,6 +13,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def load_calls(monkeypatch):
+    """The paths passed to ``cache.load`` while the test runs."""
+    calls = []
+    real_load = cache_mod.load
+    monkeypatch.setattr(cache_mod, "load", lambda p: calls.append(p) or real_load(p))
+    return calls
 
 
 class TestSort:
@@ -65,6 +75,13 @@ class TestFertility:
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--cache", path)
         assert code == 0 and out == "27\n"
         assert len((tmp_path / "cache.jsonl").read_text().splitlines()) == 1
+
+    def test_cache_miss_loads_the_file_once(self, capsys, tmp_path, load_calls):
+        path = str(tmp_path / "cache.jsonl")
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--cache", path)
+        assert code == 0 and out == "27\n"
+        assert load_calls == [path]
+        assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
 
     def test_duplicate_entry_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "fertility", "11")
@@ -145,6 +162,13 @@ class TestClassify:
     def test_fertile(self, capsys):
         _, out, _ = run(capsys, "classify", "2", "--max-n", "5")
         assert out == "f 2\nverdict fertile\nwitness 12\nsearched_n 0\n"
+
+    def test_cache_loads_the_file_once(self, capsys, tmp_path, load_calls):
+        path = str(tmp_path / "cache.jsonl")
+        code, out, _ = run(capsys, "classify", "27", "--max-n", "1", "--cache", path)
+        assert code == 0 and "verdict fertile" in out
+        assert load_calls == [path]
+        assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
 
     def test_max_n_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

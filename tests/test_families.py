@@ -4,6 +4,7 @@ import pytest
 
 from stacksort import (
     LastEntryNotMaxError,
+    VerificationFailedError,
     bracket,
     even_witness,
     fertility,
@@ -158,3 +159,9 @@ class TestWitness:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             witness(-1)
+
+    def test_wrong_verification_raises(self, monkeypatch):
+        # a raise, not an assert, so the check also runs under python -O
+        monkeypatch.setattr("stacksort.families.fertility", lambda p: 13)
+        with pytest.raises(VerificationFailedError):
+            witness(12)

@@ -14,14 +14,20 @@ from stacksort import (
     catalan,
     composition_weight,
     enumerate_vhc,
+    even_witness,
     factor_at_hook,
     fertility,
     induced_composition,
+    interleaved_fertility,
+    interleaved_witness,
     interval_dominates,
     is_sorted,
     normalize,
+    one_mod4_witness,
     point_colors,
+    product_witness,
     reduce_stationary,
+    stack_sort,
     stationary_hooks,
     valid_compositions,
 )
@@ -35,6 +41,12 @@ BIG = (1, 8, 11, 4, 3, 5, 7, 6, 13, 14, 2, 12, 15, 9, 10, 16)
 
 def table_fertility(comps):
     return sum(composition_weight(q) for q in set(comps))
+
+
+def images(lo, hi):
+    """Stack-sort images of uniformly drawn permutations of length lo..hi."""
+    return st.integers(lo, hi).flatmap(
+        lambda n: st.permutations(range(1, n + 1))).map(lambda w: stack_sort(tuple(w)))
 
 
 class TestEnumeration:
@@ -165,6 +177,38 @@ class TestFertility:
         assert is_sorted((1, 2, 3))
         assert not is_sorted((1, 3, 2))
         assert is_sorted(())
+
+
+class TestIntervalKernel:
+    """The interval recursion against the hook-weight sum and closed forms."""
+
+    def test_matches_hook_weight_sum_through_s8(self):
+        for n in range(9):  # n = 0: fertility((), early_exit=0) is None
+            for w, (_, comps) in vhc_table(n).items():
+                want = table_fertility(comps)
+                assert fertility(w) == want, w
+                for cap in (-1, 0, 1, 5, 27):
+                    # a zero count is returned whatever the cap
+                    expect = None if want and want > cap else want
+                    assert fertility(w, early_exit=cap) == expect, (w, cap)
+
+    @settings(max_examples=25, deadline=None)
+    @given(images(10, 30))
+    def test_matches_hook_weight_sum_on_images(self, w):
+        assert fertility(w) == table_fertility(valid_compositions(w))
+
+    def test_closed_forms_beyond_n_100(self):
+        assert fertility(even_witness(60)) == 120
+        assert fertility(one_mod4_witness(55)) == 221
+        assert fertility(interleaved_witness(49)) == interleaved_fertility(49)
+        assert fertility(tuple(range(1, 201))) == catalan(200)
+        assert fertility(product_witness(interleaved_witness(6), one_mod4_witness(50))) \
+            == 119 * 201
+
+    @settings(max_examples=25, deadline=None)
+    @given(images(8, 14), images(4, 12))
+    def test_product_witness_multiplies(self, a, b):
+        assert fertility(product_witness(a, b)) == fertility(a) * fertility(b)
 
 
 class TestStationaryHooks:
