@@ -64,9 +64,9 @@ from .perms import (
     parse_permutation,
     perm_text,
     stack_sort,
-    stack_sort_recursive,
 )
 from .search import (
+    SWEEP_LIMIT,
     VERDICT_FERTILE,
     VERDICT_PROVEN_INFERTILE,
     VERDICT_UNKNOWN,

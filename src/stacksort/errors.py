@@ -47,7 +47,7 @@ class PreconditionFailedError(StacksortError):
 
 
 class ReductionNotFoundError(StacksortError):
-    """No shorter permutation realises the projected composition set."""
+    """The reduced word does not realise the projected composition set."""
 
 
 class SizeLimitExceededError(StacksortError):

@@ -345,8 +345,9 @@ def _interval_fertility(w: Perm) -> int:
 
 
 def is_sorted(p: Sequence[int]) -> bool:
-    """True when ``p`` has positive fertility, i.e. some configuration exists."""
-    return next(iter_vhc(p), None) is not None
+    """True when ``p`` is a stack-sorting image: the interval-recursion
+    kernel :func:`fertility` gives it a positive count."""
+    return fertility(p) > 0
 
 
 def stationary_hooks(p: Sequence[int]) -> set[Hook]:
@@ -442,8 +443,8 @@ def reduce_stationary(p: Sequence[int], i: int) -> Perm:
     composition, the i-th hook is the same in every configuration; removing
     it yields a word in S_{n-2} whose composition set is the projection of
     the original one (and whose fertility therefore matches). The
-    construction is verified before being returned; if the direct build ever
-    misses, an exhaustive search over S_{n-2} is attempted instead.
+    construction is verified before being returned, and
+    ReductionNotFoundError is raised if it misses.
     """
     word = tuple(p)
     n = len(word)
@@ -465,9 +466,6 @@ def reduce_stationary(p: Sequence[int], i: int) -> Perm:
 
     target = _project(comps, i)
     candidate = normalize(_reduction_candidate(word, hook))
-    if valid_compositions(candidate) == target:
-        return candidate
-    for z in itertools.permutations(range(1, n - 1)):
-        if valid_compositions(z) == target:
-            return z
-    raise ReductionNotFoundError(f"no word in S_{n - 2} realises the projected set")
+    if valid_compositions(candidate) != target:
+        raise ReductionNotFoundError(f"the reduced word {candidate} misses the projected set")
+    return candidate

@@ -115,22 +115,6 @@ def stack_sort(p: Sequence[int]) -> Perm:
     return tuple(out)
 
 
-def stack_sort_recursive(p: Sequence[int]) -> Perm:
-    """The same map computed by the recursion s(L m R) = s(L) s(R) m.
-
-    Here ``m`` is the largest entry and L, R the flanking substrings. Agrees
-    with :func:`stack_sort` on every input.
-
-    >>> stack_sort_recursive((4, 1, 6, 2))
-    (1, 4, 2, 6)
-    """
-    word = tuple(p)
-    if not word:
-        return ()
-    i = word.index(max(word))
-    return stack_sort_recursive(word[:i]) + stack_sort_recursive(word[i + 1:]) + (word[i],)
-
-
 def descents(p: Sequence[int]) -> tuple[int, ...]:
     """1-based positions i with p_i > p_{i+1}, in increasing order.
 

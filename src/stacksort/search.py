@@ -4,10 +4,13 @@ A positive fertility value f, if attained at all, is attained by a word of
 length at most f + 1, so ruling f out only requires scanning S_1 .. S_{f+1}.
 ``classify`` implements that search (with construction shortcuts),
 ``spectrum`` collects every value attained in one S_n, and the matrix
-helpers expose the arithmetic behind the f + 1 bound.
+helpers expose the arithmetic behind the f + 1 bound. Only a word ending
+in its maximum has preimages, so sweeps visit just the (n-1)! words of S_n
+that end in n, in blocks split on the first entry.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -15,13 +18,16 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import families
-from .errors import HypothesisViolatedError
+from .errors import HypothesisViolatedError, SizeLimitExceededError
 from .hooks import composition_weight, fertility
 from .perms import Perm, parse_permutation
 
 VERDICT_FERTILE = "fertile"
 VERDICT_UNKNOWN = "unknown-up-to"
 VERDICT_PROVEN_INFERTILE = "proven-infertile"
+
+#: Largest n a symmetric-group sweep accepts: (n-1)! = 3,628,800 words at 11.
+SWEEP_LIMIT = 11
 
 
 @dataclass(frozen=True)
@@ -43,64 +49,57 @@ class ClassifyResult:
     searched_n: int
 
 
-def _block_perms(n: int, first: int):
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        yield (first, *tail)
-
-
-def _spectrum_block(args: tuple[int, int]) -> dict[int, Perm]:
-    n, first = args
+def _block(n: int, first: int, f: int | None) -> dict[int, Perm]:
+    """Lex-least witness per positive fertility, or for ``f`` alone (stopping
+    at its first hit), among the words (first, ..., n) in lexicographic order."""
+    head = (first,) if first < n else ()  # n = 1: the single word (1,)
     found: dict[int, Perm] = {}
-    for w in _block_perms(n, first):
-        f = fertility(w)
-        if f and f not in found:
-            found[f] = w
+    for middle in itertools.permutations([v for v in range(1, n) if v != first]):
+        w = (*head, *middle, n)
+        value = fertility(w, early_exit=f)
+        if value and (f is None or value == f):
+            found.setdefault(value, w)
+            if f is not None:
+                break
     return found
+
+
+def _sweep(n: int, jobs: int, f: int | None = None) -> dict[int, Perm]:
+    """Merge the blocks first = 1 .. n-1 in order, so the earliest (least)
+    witness wins; with ``f`` given, stop at the first block holding it."""
+    firsts = range(1, max(n, 2))
+    workers = min(jobs, len(firsts))
+    witnesses: dict[int, Perm] = {}
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for block in mapper(_block, itertools.repeat(n), firsts, itertools.repeat(f)):
+            for value, w in block.items():
+                witnesses.setdefault(value, w)
+            if f in witnesses:
+                break
+    return witnesses
+
+
+def _check_sweep(n: int, jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    if n > SWEEP_LIMIT:
+        raise SizeLimitExceededError(f"a sweep of S_{n} exceeds the limit n <= {SWEEP_LIMIT}")
 
 
 def spectrum(n: int, jobs: int = 1) -> SpectrumReport:
     """Every positive fertility attained in S_n, by the fertility kernel.
 
-    Witnesses are lexicographically least, regardless of ``jobs``: blocks are
-    split on the first entry and merged by minimum.
+    Only the (n-1)! words ending in n are visited, in blocks split on the
+    first entry; witnesses are lexicographically least, regardless of ``jobs``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    witnesses: dict[int, Perm] = {}
-    if jobs <= 1 or n < 3:
-        for w in itertools.permutations(range(1, n + 1)):
-            f = fertility(w)
-            if f and f not in witnesses:
-                witnesses[f] = w
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for block in pool.map(_spectrum_block, [(n, first) for first in range(1, n + 1)]):
-                for f, w in block.items():
-                    if f not in witnesses or w < witnesses[f]:
-                        witnesses[f] = w
+    _check_sweep(n, jobs)
+    witnesses = _sweep(n, jobs)
     return SpectrumReport(n, frozenset(witnesses), dict(sorted(witnesses.items())))
-
-
-def _classify_block(args: tuple[int, int, int]) -> Perm | None:
-    f, n, first = args
-    for w in _block_perms(n, first):
-        if fertility(w, early_exit=f) == f:
-            return w
-    return None
-
-
-def _scan_length(f: int, n: int, jobs: int) -> Perm | None:
-    if jobs <= 1 or n < 3:
-        for w in itertools.permutations(range(1, n + 1)):
-            if fertility(w, early_exit=f) == f:
-                return w
-        return None
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for hit in pool.map(_classify_block, [(f, n, first) for first in range(1, n + 1)]):
-            if hit is not None:
-                return hit
-    return None
 
 
 def classify(
@@ -114,7 +113,8 @@ def classify(
     A cache of known fertilities, if given, is consulted first (entries are
     re-verified before being trusted), then the witness constructions; either
     ends the search with no scan (searched_n = 0). Otherwise S_1, S_2, ...
-    are scanned in lexicographic order with early-exit fertility evaluation.
+    are scanned in lexicographic order with early-exit fertility evaluation,
+    over the (n-1)! words ending in n, in blocks split on the first entry.
     Scanning stops at min(n_max, f + 1): beyond f + 1 nothing new can
     appear, so exhausting that range proves infertility; exhausting a
     smaller range is only ever "unknown".
@@ -123,6 +123,7 @@ def classify(
         raise ValueError("n_max must be positive")
     if f < 0:
         raise ValueError("fertility targets are nonnegative")
+    _check_sweep(1, jobs)  # the scan length is checked once no shortcut applies
     if cache:
         for text, value in cache.items():
             if value == f:
@@ -133,8 +134,9 @@ def classify(
     if report.witness is not None:
         return ClassifyResult(f, VERDICT_FERTILE, report.witness, 0)
     bound = min(n_max, f + 1)  # f >= 1 here: 0 always has a witness above
+    _check_sweep(bound, jobs)
     for n in range(1, bound + 1):
-        hit = _scan_length(f, n, jobs)
+        hit = _sweep(n, jobs, f).get(f)
         if hit is not None:
             return ClassifyResult(f, VERDICT_FERTILE, hit, n)
     if n_max >= f + 1:

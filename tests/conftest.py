@@ -47,6 +47,16 @@ def compositions_of(total, parts):
     return out
 
 
+def stack_sort_recursive(p):
+    """Reference stack sort by the recursion s(L m R) = s(L) s(R) m, with m
+    the largest entry; Python recursion limits it to short words."""
+    word = tuple(p)
+    if not word:
+        return ()
+    i = word.index(max(word))
+    return stack_sort_recursive(word[:i]) + stack_sort_recursive(word[i + 1:]) + (word[i],)
+
+
 def naive_point_colors(p, config):
     """Reference coloring rule: scan every hook for every point."""
     n = len(p)

@@ -148,6 +148,10 @@ class TestSpectrum:
         assert code == 0
         assert path.read_text().splitlines() == ["value,witness", "1,2 1 3", "5,1 2 3"]
 
+    def test_size_limit(self, capsys):
+        code, out, err = run(capsys, "spectrum", "12")
+        assert code == 1 and out == "" and "limit" in err
+
     def test_matches_library(self, capsys):
         _, out, _ = run(capsys, "spectrum", "4", "--json")
         assert {int(v) for v in json.loads(out)["achieved"]} == set(spectrum(4).achieved)
@@ -169,6 +173,14 @@ class TestClassify:
         assert code == 0 and "verdict fertile" in out
         assert load_calls == [path]
         assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
+
+    def test_oversized_scan_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "classify", "31", "--max-n", "20")
+        assert code == 1 and out == "" and "limit" in err
+
+    def test_bad_jobs_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "classify", "3", "--max-n", "4", "--jobs", "0")
+        assert code == 1 and out == "" and "error:" in err
 
     def test_max_n_required(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from stacksort import (
     LengthMismatchError,
     NotStationaryError,
     PreconditionFailedError,
+    ReductionNotFoundError,
     SumMismatchError,
     UnsortedPermutationError,
     catalan,
@@ -31,8 +32,9 @@ from stacksort import (
     stationary_hooks,
     valid_compositions,
 )
+from stacksort import hooks
 from stacksort.hooks import _project, _reduction_candidate
-from conftest import compositions_of, image_counts, naive_point_colors, vhc_table
+from conftest import all_perms, compositions_of, image_counts, naive_point_colors, vhc_table
 
 P27 = (3, 1, 4, 2, 5, 6, 7)
 P95 = (1, 2, 4, 3, 5, 6, 7)
@@ -178,6 +180,12 @@ class TestFertility:
         assert not is_sorted((1, 3, 2))
         assert is_sorted(())
 
+    def test_is_sorted_matches_images(self):
+        for n in range(8):
+            images = image_counts(n)
+            for w in all_perms(n):
+                assert is_sorted(w) == (w in images), w
+
 
 class TestIntervalKernel:
     """The interval recursion against the hook-weight sum and closed forms."""
@@ -313,17 +321,23 @@ class TestReduceStationary:
                     assert valid_compositions(z) == want
                     assert fertility(z) == table_fertility(comps)
 
-    def test_direct_build_agrees_without_fallback(self):
+    def test_direct_build_agrees_without_fallback(self, tables7):
         # the region construction alone should already realise the target
-        for n in range(3, 7):
-            for w, (configs, comps) in vhc_table(n).items():
-                if not configs:
+        for n, table in tables7.items():
+            for w, (configs, comps) in table.items():
+                if n < 3 or not configs:
                     continue
                 k = len(configs[0])
                 for i in range(1, k + 1):
                     if all(q[i] == 1 for q in comps):
                         built = normalize(_reduction_candidate(w, configs[0][i - 1]))
                         assert valid_compositions(built) == _project(set(comps), i)
+
+    def test_missed_build_raises(self, monkeypatch):
+        assert reduce_stationary((1, 3, 2, 4), 1) == (1, 2)
+        monkeypatch.setattr(hooks, "_reduction_candidate", lambda p, hook: (2, 1))
+        with pytest.raises(ReductionNotFoundError):
+            reduce_stationary((1, 3, 2, 4), 1)
 
     def test_precondition_failures(self):
         with pytest.raises(PreconditionFailedError):

@@ -16,9 +16,8 @@ from stacksort import (
     parse_permutation,
     perm_text,
     stack_sort,
-    stack_sort_recursive,
 )
-from conftest import all_perms
+from conftest import all_perms, stack_sort_recursive
 
 words = st.lists(st.integers(1, 60), unique=True, max_size=8).map(tuple)
 

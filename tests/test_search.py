@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stacksort import (
+    SWEEP_LIMIT,
     VERDICT_FERTILE,
     VERDICT_PROVEN_INFERTILE,
     VERDICT_UNKNOWN,
     HypothesisViolatedError,
+    SizeLimitExceededError,
     classify,
     density_lower_bound,
     fertility,
@@ -20,7 +22,40 @@ from stacksort import (
     valid_compositions,
     witness,
 )
+from stacksort import search
 from conftest import vhc_table
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and the
+    number of results consumed per pool, and maps in this process, so no
+    worker is ever started."""
+
+    requested: list[int] = []
+    consumed: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+        self.consumed.append(0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        for result in map(fn, *iterables):
+            self.consumed[-1] += 1
+            yield result
+
+
+@pytest.fixture
+def executor(monkeypatch):
+    RecordingExecutor.requested = []
+    RecordingExecutor.consumed = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
+    return RecordingExecutor
 
 
 class TestSpectrum:
@@ -39,14 +74,30 @@ class TestSpectrum:
         assert 27 in report.achieved
         assert fertility(report.witnesses[27]) == 27
 
-    def test_witnesses_are_lex_least(self):
-        report = spectrum(4)
-        for value, w in report.witnesses.items():
-            candidates = [v for v in vhc_table(4) if fertility(v) == value]
-            assert w == min(candidates)
+    def test_witnesses_are_lex_least(self, tables6):
+        for n, table in tables6.items():
+            least: dict[int, tuple] = {}
+            for w in sorted(table):
+                least.setdefault(fertility(w), w)
+            least.pop(0, None)
+            assert spectrum(n).witnesses == least
 
     def test_parallel_matches_sequential(self):
-        assert spectrum(5, jobs=2) == spectrum(5, jobs=1)
+        for n in (1, 2, 5):  # n = 1, 2: a single block
+            assert spectrum(n, jobs=2) == spectrum(n, jobs=1)
+
+    def test_workers_capped_at_the_block_count(self, executor):
+        assert spectrum(5, jobs=10000) == spectrum(5)
+        spectrum(2, jobs=8)  # one block runs inline
+        assert executor.requested == [4]
+
+    def test_bad_jobs(self):
+        with pytest.raises(ValueError):
+            spectrum(3, jobs=0)
+
+    def test_size_limit(self):
+        with pytest.raises(SizeLimitExceededError):
+            spectrum(SWEEP_LIMIT + 1)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
@@ -107,6 +158,39 @@ class TestClassify:
 
     def test_parallel_matches_sequential(self):
         assert classify(3, 4, jobs=2) == classify(3, 4, jobs=1)
+
+    def test_scan_hit(self):
+        # 123 has no construction; S_7 is the first length attaining it
+        assert witness(123).witness is None
+        for jobs in (1, 2):
+            result = classify(123, 7, jobs=jobs)
+            assert result == classify(123, 9, jobs=jobs)
+            assert result.verdict == VERDICT_FERTILE
+            assert result.searched_n == 7
+            assert result.witness == (1, 3, 2, 4, 5, 6, 7) == spectrum(7).witnesses[123]
+
+    def test_pool_per_length_stops_at_the_hit(self, executor):
+        assert classify(123, 7, jobs=3).witness == (1, 3, 2, 4, 5, 6, 7)
+        # S_3 .. S_7 (S_1, S_2 run inline); S_7's first block holds the hit
+        assert executor.requested == [2, 3, 3, 3, 3]
+        assert executor.consumed == [2, 3, 4, 5, 1]
+
+    def test_bad_jobs(self):
+        with pytest.raises(ValueError):
+            classify(3, 4, jobs=0)
+        with pytest.raises(ValueError):
+            classify(2, 5, jobs=-1)  # rejected even when a construction applies
+
+    def test_size_limit_checked_before_the_scan(self, monkeypatch):
+        assert classify(3, 20).verdict == VERDICT_PROVEN_INFERTILE  # bound f + 1 = 4
+        assert classify(27, 50).verdict == VERDICT_FERTILE  # constructed, no scan
+
+        def no_scan(*args):
+            raise AssertionError("a scan started")
+
+        monkeypatch.setattr(search, "_sweep", no_scan)
+        with pytest.raises(SizeLimitExceededError):
+            classify(31, 20, jobs=2)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
