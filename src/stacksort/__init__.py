@@ -6,12 +6,18 @@ its valid hook configurations and their Catalan-weighted compositions (the
 paper's formula for the same count, used as a cross-check), checks the count
 against a brute-force oracle, constructs witnesses for prescribed
 fertilities and searches symmetric groups for attainable values.
+
+Diagnostics go to the ``stacksort`` logger, which is silent unless the
+application configures logging.
 """
+import logging
+
 from .cache import CacheRecord, append_records, audit, cache_key, load, read_records
 from .errors import (
     CorruptRecordError,
     DuplicateEntryError,
     HypothesisViolatedError,
+    InvalidArgumentError,
     LastEntryNotMaxError,
     LengthMismatchError,
     NonPositiveEntryError,
@@ -81,5 +87,7 @@ from .search import (
     spectrum,
 )
 from .svg import render_svg
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"

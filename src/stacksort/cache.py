@@ -3,12 +3,15 @@
 One record per line: ``{"perm":"3 1 4 2 5 6 7","fertility":"27"}``. Keys are
 the space-separated text of the normalized word; fertility values travel as
 decimal strings so arbitrarily large counts survive serialization. Appends
-take an exclusive lock on the file, reads a shared one.
+take an exclusive lock on the file, reads a shared one. A crash in the middle
+of an append can leave an unterminated last line: reads skip it with a
+warning on the ``stacksort`` logger, and the next append cuts it off.
 """
 from __future__ import annotations
 
 import fcntl
 import json
+import logging
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -16,6 +19,8 @@ from typing import Iterable, Sequence
 from .errors import CorruptRecordError
 from .hooks import fertility
 from .perms import normalize, parse_permutation
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -48,23 +53,66 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
 
 
 def read_records(path: str | os.PathLike) -> list[CacheRecord]:
-    """All records in file order; missing file reads as empty."""
+    """All records in file order; missing file reads as empty.
+
+    An unterminated last line that does not parse is skipped with a warning;
+    a bad line anywhere else raises :class:`CorruptRecordError`.
+    """
     if not os.path.exists(path):
         return []
     with open(path, encoding="utf-8") as fh:
         fcntl.flock(fh, fcntl.LOCK_SH)
-        lines = fh.read().splitlines()
-    return [_parse_line(line, i) for i, line in enumerate(lines, start=1) if line]
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorruptRecordError(f"{os.fspath(path)}: {exc}") from None
+    lines = text.splitlines()
+    tail = "" if text.endswith("\n") or not lines else lines.pop()
+    records = [_parse_line(line, i) for i, line in enumerate(lines, start=1) if line]
+    if tail:
+        try:
+            records.append(_parse_line(tail, len(lines) + 1))
+        except CorruptRecordError as exc:
+            _log.warning("%s: skipping an unterminated last line (%s)", os.fspath(path), exc)
+    return records
+
+
+def _tail_start(fh, end: int) -> int:
+    """Offset just past the last newline before ``end``, or 0."""
+    pos = end
+    while pos > 0:
+        step = min(pos, 4096)
+        pos -= step
+        fh.seek(pos)
+        newline = fh.read(step).rfind(b"\n")
+        if newline >= 0:
+            return pos + newline + 1
+    return 0
 
 
 def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> None:
-    """Append records under an exclusive file lock."""
+    """Append records under an exclusive file lock.
+
+    An unterminated last line is first cut off if it does not parse, or
+    terminated if it does, so the new records start on a line of their own.
+    """
     payload = "".join(record_line(r) + "\n" for r in records)
     if not payload:
         return
-    with open(path, "a", encoding="utf-8") as fh:
+    with open(path, "a+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
-        fh.write(payload)
+        end = fh.seek(0, os.SEEK_END)
+        start = _tail_start(fh, end)
+        if start < end:
+            fh.seek(start)
+            tail = fh.read(end - start).decode("utf-8", errors="replace")
+            try:
+                _parse_line(tail, 0)
+                payload = "\n" + payload
+            except CorruptRecordError:
+                _log.warning("%s: cutting off an unterminated last line", os.fspath(path))
+                fh.truncate(start)
+        fh.write(payload.encode("utf-8"))
         fh.flush()
 
 

@@ -10,7 +10,7 @@ import sys
 
 from . import cache as cache_mod
 from . import families, search, svg
-from .errors import StacksortError
+from .errors import InvalidArgumentError, StacksortError
 from .hooks import enumerate_vhc, fertility, induced_composition, valid_compositions
 from .oracle import fertility_brute, preimages
 from .perms import Perm, parse_permutation, perm_text, stack_sort
@@ -205,8 +205,13 @@ def _cmd_bound_check(args) -> int:
             raise StacksortError(f"{perm_text(p)} is unsorted: empty composition matrix")
         matrices.append([list(q) for q in comps])
     for row_text in args.rows or []:
-        matrices.append([[int(x) for x in row.split(",")] for row in row_text.split(";")])
+        try:
+            matrices.append([[int(x) for x in row.split(",")] for row in row_text.split(";")])
+        except ValueError:
+            raise InvalidArgumentError(f"not a matrix: {row_text!r}") from None
     if args.random:
+        if args.max_dim < 1 or args.max_entry < 2:
+            raise InvalidArgumentError("--random needs --max-dim >= 1 and --max-entry >= 2")
         rng = random.Random(args.seed)
         matrices.extend(_random_matrix(rng, args.max_dim, args.max_entry)
                         for _ in range(args.random))
@@ -297,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StacksortError, ValueError) as exc:
+    except StacksortError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,10 @@ class StacksortError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidArgumentError(StacksortError, ValueError):
+    """An argument is out of range or malformed (also a ``ValueError``)."""
+
+
 class DuplicateEntryError(StacksortError):
     """A permutation word contains a repeated entry."""
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import VerificationFailedError
+from .errors import InvalidArgumentError, VerificationFailedError
 from .hooks import fertility
 from .perms import Perm, bracket, direct_sum, drop_final_max
 
@@ -33,14 +33,14 @@ def even_witness(m: int) -> Perm:
     (4, 3, 2, 1, 5, 6, 7, 8)
     """
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InvalidArgumentError("m must be positive")
     return tuple(range(m, 0, -1)) + tuple(range(m + 1, 2 * m + 1))
 
 
 def one_mod4_witness(m: int) -> Perm:
     """A new minimum in front of :func:`even_witness`; fertility 4m + 1."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InvalidArgumentError("m must be positive")
     return direct_sum((1,), even_witness(m))
 
 
@@ -51,7 +51,7 @@ def interleaved_witness(m: int) -> Perm:
     (3, 1, 4, 2, 5, 6, 7)
     """
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InvalidArgumentError("m must be positive")
     word: list[int] = []
     for t in range(1, m + 1):
         word += [m + t, t]
@@ -119,7 +119,7 @@ def witness(f: int) -> WitnessReport:
     found nothing.
     """
     if f < 0:
-        raise ValueError("fertility targets are nonnegative")
+        raise InvalidArgumentError("fertility targets are nonnegative")
     if f == 0:
         return _verified(0, (2, 1), "base-case")
     if f == 1:

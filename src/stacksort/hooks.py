@@ -46,6 +46,7 @@ from bisect import bisect
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
+    InvalidArgumentError,
     LengthMismatchError,
     NotStationaryError,
     PreconditionFailedError,
@@ -258,7 +259,7 @@ def catalan(j: int) -> int:
     [1, 1, 2, 5, 14, 42, 132]
     """
     if j < 0:
-        raise ValueError("catalan is defined for nonnegative arguments")
+        raise InvalidArgumentError("catalan is defined for nonnegative arguments")
     return math.comb(2 * j, j) // (j + 1)
 
 

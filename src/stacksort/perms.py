@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .errors import (
     DuplicateEntryError,
+    InvalidArgumentError,
     LastEntryNotMaxError,
     NonPositiveEntryError,
     NotNormalizedError,
@@ -58,7 +59,7 @@ def parse_permutation(text: str) -> Perm:
     try:
         entries = [int(t) for t in tokens]
     except ValueError:
-        raise ValueError(f"not a permutation word: {text!r}") from None
+        raise InvalidArgumentError(f"not a permutation word: {text!r}") from None
     return _validated(entries)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import UnsortedPermutationError
+from .errors import InvalidArgumentError, UnsortedPermutationError
 from .hooks import HookConfig, enumerate_vhc, point_colors
 
 PITCH = 40
@@ -84,5 +84,6 @@ def render_svg(p: Sequence[int], which: int | str = "all") -> list[str]:
         return [_document(p, config) for config in configs]
     ordinal = int(which)
     if not 1 <= ordinal <= len(configs):
-        raise ValueError(f"configuration ordinal {ordinal} out of range 1..{len(configs)}")
+        raise InvalidArgumentError(
+            f"configuration ordinal {ordinal} out of range 1..{len(configs)}")
     return [_document(p, configs[ordinal - 1])]

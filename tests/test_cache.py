@@ -1,4 +1,11 @@
+import logging
+import os
+import subprocess
+import sys
+
 import pytest
+
+import stacksort
 
 from stacksort import (
     CacheRecord,
@@ -77,3 +84,71 @@ def test_audit_detects_a_wrong_value(tmp_path):
     append_records(path, [CacheRecord("3 1 4 2 5 6 7", 26)])
     with pytest.raises(CorruptRecordError):
         audit(path)
+
+
+GOOD = '{"perm":"1 2","fertility":"2"}\n{"perm":"2 1","fertility":"0"}\n'
+
+
+def test_torn_last_line_is_skipped_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + '{"perm":"3 1 4 2 5 6 7","fertil')
+    with caplog.at_level(logging.WARNING, logger="stacksort"):
+        assert load(path) == {"1 2": 2, "2 1": 0}
+    assert "unterminated last line" in caplog.text
+
+
+def test_unterminated_good_last_line_is_kept(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + '{"perm":"1","fertility":"1"}')
+    assert load(path) == {"1 2": 2, "2 1": 0, "1": 1}
+    append_records(path, [CacheRecord("1 2 3", 5)])
+    assert load(path) == {"1 2": 2, "2 1": 0, "1": 1, "1 2 3": 5}
+
+
+@pytest.mark.parametrize("torn", ['{"perm":"3 1 4 2 5 6 7","fertil', '{"perm":"' + "1 " * 5000])
+def test_append_after_a_torn_tail_cuts_it_off(tmp_path, torn):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + torn)
+    append_records(path, [CacheRecord("1 2 3", 5)])
+    assert path.read_text() == GOOD + '{"perm":"1 2 3","fertility":"5"}\n'
+
+
+def test_bad_line_before_the_end_is_corrupt(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    for text in (GOOD + "not json\n", '{"perm":"1 2","fert\n' + GOOD, b"\xff\n"):
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        with pytest.raises(CorruptRecordError):
+            read_records(path)
+
+
+APPENDER = """import sys
+from stacksort import CacheRecord, append_records
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(int(sys.argv[3])):
+    append_records(sys.argv[1], [CacheRecord(sys.argv[2], i)])
+"""
+
+
+def test_two_processes_append_at_once(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    src = os.path.dirname(os.path.dirname(stacksort.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    keys = ("1", "1 2")
+    workers = [subprocess.Popen([sys.executable, "-c", APPENDER, path, key, "300"], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+               for key in keys]
+    for p in workers:  # both have imported the package before either starts
+        assert p.stdout.readline() == "ready\n"
+    for p in workers:
+        p.stdin.write("go\n")
+        p.stdin.close()
+    for p in workers:
+        assert p.wait(timeout=30) == 0
+        p.stdout.close()
+    records = read_records(path)
+    assert sorted((r.perm, r.fertility) for r in records) == sorted(
+        (key, i) for key in keys for i in range(300))

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from stacksort import cache as cache_mod
-from stacksort import fertility, spectrum
+from stacksort import InvalidArgumentError, StacksortError, fertility, search, spectrum
+from stacksort import catalan, even_witness, parse_permutation, render_svg, witness
 from stacksort.cli import main
 
 P27_TEXT = "3142567"
@@ -229,12 +230,35 @@ class TestBoundCheck:
         code, _, err = run(capsys, "bound-check")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("argv", [("1,x",), ("--random", "1", "--max-entry", "1"),
+                                      ("--random", "1", "--max-dim", "0")])
+    def test_malformed_input_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "bound-check", *argv)
+        assert code == 1 and out == "" and "error:" in err
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("call", [
+        lambda: parse_permutation("1.5 2"), lambda: catalan(-1), lambda: even_witness(0),
+        lambda: witness(-1), lambda: spectrum(0), lambda: search.classify(3, 4, jobs=0),
+        lambda: render_svg((1, 2), 9)])
+    def test_validation_errors_are_domain_errors(self, call):
+        with pytest.raises(InvalidArgumentError) as exc:
+            call()
+        assert isinstance(exc.value, StacksortError) and isinstance(exc.value, ValueError)
+
+    def test_internal_value_error_is_not_a_domain_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(search, "spectrum", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["spectrum", "3"])
 
     def test_bad_flag_reports_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,6 @@
+import math
+import multiprocessing
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from stacksort import (
     VERDICT_UNKNOWN,
     HypothesisViolatedError,
     SizeLimitExceededError,
+    VerificationFailedError,
     classify,
     density_lower_bound,
     fertility,
@@ -23,39 +27,38 @@ from stacksort import (
     witness,
 )
 from stacksort import search
-from conftest import vhc_table
+from conftest import image_counts, vhc_table
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and the
-    number of results consumed per pool, and maps in this process, so no
-    worker is ever started."""
-
-    requested: list[int] = []
-    consumed: list[int] = []
-
-    def __init__(self, max_workers):
-        self.requested.append(max_workers)
-        self.consumed.append(0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        for result in map(fn, *iterables):
-            self.consumed[-1] += 1
-            yield result
+@pytest.fixture(scope="module")
+def levels():
+    """n -> level table of S_n, for n = 1 .. 10."""
+    return dict(search._levels(10))
 
 
-@pytest.fixture
-def executor(monkeypatch):
-    RecordingExecutor.requested = []
-    RecordingExecutor.consumed = []
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingExecutor)
-    return RecordingExecutor
+def raise_on_start(self):
+    raise AssertionError("a worker process started")
+
+
+class TestLevels:
+    def test_tables_are_the_brute_force_image_tallies(self, levels):
+        for n in range(1, 9):
+            assert levels[n] == dict(image_counts(n))
+
+    def test_tables_past_brute_force(self, levels):
+        for n in (9, 10):
+            assert sum(levels[n].values()) == math.factorial(n)
+        sample = random.Random(10).sample(sorted(levels[10]), 200)
+        for w in sample:
+            assert fertility(w) == levels[10][w]
+
+    def test_count_check_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "factorial", lambda n: math.factorial(n) + (n == 4))
+        assert spectrum(3).achieved == frozenset({1, 5})
+        with pytest.raises(VerificationFailedError):
+            spectrum(4)
+        with pytest.raises(VerificationFailedError):
+            classify(3, 4)
 
 
 class TestSpectrum:
@@ -83,13 +86,13 @@ class TestSpectrum:
             assert spectrum(n).witnesses == least
 
     def test_parallel_matches_sequential(self):
-        for n in (1, 2, 5):  # n = 1, 2: a single block
+        for n in (1, 2, 5):
             assert spectrum(n, jobs=2) == spectrum(n, jobs=1)
 
-    def test_workers_capped_at_the_block_count(self, executor):
+    def test_jobs_start_no_process(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", raise_on_start)
         assert spectrum(5, jobs=10000) == spectrum(5)
-        spectrum(2, jobs=8)  # one block runs inline
-        assert executor.requested == [4]
+        assert classify(123, 7, jobs=3).witness == (1, 3, 2, 4, 5, 6, 7)
 
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
@@ -169,12 +172,6 @@ class TestClassify:
             assert result.searched_n == 7
             assert result.witness == (1, 3, 2, 4, 5, 6, 7) == spectrum(7).witnesses[123]
 
-    def test_pool_per_length_stops_at_the_hit(self, executor):
-        assert classify(123, 7, jobs=3).witness == (1, 3, 2, 4, 5, 6, 7)
-        # S_3 .. S_7 (S_1, S_2 run inline); S_7's first block holds the hit
-        assert executor.requested == [2, 3, 3, 3, 3]
-        assert executor.consumed == [2, 3, 4, 5, 1]
-
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
             classify(3, 4, jobs=0)
@@ -188,7 +185,7 @@ class TestClassify:
         def no_scan(*args):
             raise AssertionError("a scan started")
 
-        monkeypatch.setattr(search, "_sweep", no_scan)
+        monkeypatch.setattr(search, "_levels", no_scan)
         with pytest.raises(SizeLimitExceededError):
             classify(31, 20, jobs=2)
 
@@ -277,5 +274,7 @@ class TestSmallOddStatus:
     def test_consistent_with_classify_and_witness(self):
         assert classify(3, 4).verdict == VERDICT_PROVEN_INFERTILE
         assert small_odd_status(3) is False
+        assert classify(7, 8).verdict == VERDICT_PROVEN_INFERTILE
+        assert small_odd_status(7) is False
         assert witness(27).witness is not None
         assert small_odd_status(27) is True
