@@ -40,16 +40,21 @@ def record_line(record: CacheRecord) -> str:
 
 
 def _parse_line(line: str, lineno: int) -> CacheRecord:
+    """One record; a key that is not the canonical text of a permutation of
+    1..n, or a negative value, is a :class:`CorruptRecordError`."""
     try:
         obj = json.loads(line)
-        perm_text = obj["perm"]
+        text = obj["perm"]
         value = int(obj["fertility"])
-        word = parse_permutation(perm_text)
+        if not isinstance(text, str):
+            raise TypeError(f"perm is {type(text).__name__}, not text")
+        word = tuple(int(x) for x in text.split(" ")) if text else ()
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptRecordError(f"line {lineno}: {exc}") from None
-    if value < 0 or perm_text != cache_key(word):
+    if (value < 0 or " ".join(map(str, word)) != text
+            or sorted(word) != list(range(1, len(word) + 1))):
         raise CorruptRecordError(f"line {lineno}: non-canonical record {line!r}")
-    return CacheRecord(perm_text, value)
+    return CacheRecord(text, value)
 
 
 def read_records(path: str | os.PathLike) -> list[CacheRecord]:

@@ -36,7 +36,11 @@ the test suite holds :func:`fertility` to that formula.
 
 Configurations are produced in a canonical order: descents are filled left to
 right and northeast columns scanned increasingly, so the output is sorted
-lexicographically by the tuple of northeast columns.
+lexicographically by the tuple of northeast columns. The same interval table
+prunes the search: the descents left of a column ``stop`` can all be hooked
+below it exactly when the columns from the first of them to ``stop - 1`` form
+a sorted word. Column ``stop - 1`` is never a descent, because ``stop`` is a
+northeast endpoint, which lies above its left neighbour, or n + 1.
 """
 from __future__ import annotations
 
@@ -92,6 +96,16 @@ def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
 
     A word with no descents has exactly one configuration, the empty one; an
     unsorted word yields nothing.
+
+    The search never meets a dead end. The descents ``ds[t:]`` left of a
+    column ``stop`` can all be hooked below ``stop`` exactly when columns
+    ``ds[t] .. stop - 1`` form a sorted word, because constraints 2 and 3 only
+    look at columns under a hook; the interval table of :func:`fertility`
+    answers that in one lookup. Column ``stop - 1`` is never a descent, since
+    ``stop`` is a northeast candidate (above its left neighbour) or n + 1. A
+    hook ``(d, j)`` is taken only when the region under it and the rest of
+    the enclosing hook both pass this test, so every partial configuration
+    extends to a full one.
     """
     ds = descents(p)
     k = len(ds)
@@ -99,100 +113,42 @@ def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
         yield ()
         return
     n = len(p)
+    if p[-1] != max(p):
+        return  # no hook can leave the maximum
     cands = [_ne_candidates(p, d) for d in ds]
+    rows = _interval_rows(tuple(p))
 
-    # Pruning oracle: can descents ds[t:] with column < stop all be hooked
-    # with northeast column < stop? Exact for the subproblem, since hooks
-    # nested under a bound are independent of everything outside it. A word
-    # may have hundreds of descents, so this runs on an explicit stack.
-    memo: dict[tuple[int, int], bool] = {}
+    def hookable(t: int, stop: int) -> bool:
+        return t >= k or ds[t] >= stop or ds[t] - 1 in rows[stop - 1]
 
-    def trivially_true(t: int, stop: int) -> bool:
-        return t >= k or ds[t] >= stop
-
-    def feasible(t0: int, stop0: int) -> bool:
-        if trivially_true(t0, stop0):
-            return True
-        stack = [[t0, stop0, 0]]
-        while stack:
-            frame = stack[-1]
-            t, stop, ci = frame
-            key = (t, stop)
-            if key in memo:
-                stack.pop()
-                continue
-            clist = cands[t]
-            decided = None
-            while ci < len(clist):
-                j = clist[ci]
-                if j >= stop:
-                    break
-                # descents under the new hook continue with bound j; the
-                # first ordinal at or past column j keeps the old bound
-                inner = (t + 1, j)
-                v1 = True if trivially_true(*inner) else memo.get(inner)
-                if v1 is None:
-                    frame[2] = ci
-                    stack.append([*inner, 0])
-                    decided = Ellipsis
-                    break
-                if v1:
-                    rest = (bisect(ds, j - 1), stop)
-                    v2 = True if trivially_true(*rest) else memo.get(rest)
-                    if v2 is None:
-                        frame[2] = ci
-                        stack.append([*rest, 0])
-                        decided = Ellipsis
-                        break
-                    if v2:
-                        decided = True
-                        break
-                ci += 1
-            if decided is Ellipsis:
-                continue  # a child was pushed; resume this frame later
-            memo[key] = bool(decided)
-            stack.pop()
-        return memo[(t0, stop0)]
-
-    # Backtracking on an explicit stack as well. frames[t] holds the
-    # candidate cursor for descent t plus the open northeast bounds in
-    # effect there; the innermost bound alone constrains the next choice.
-    chosen: list[Hook] = []
-    frames: list[list] = []
-
-    def enter(t: int, bounds: tuple[int, ...]) -> None:
+    def choices(t: int, bounds: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+        # bounds are the open northeast columns, innermost last
         d = ds[t]
         while bounds and bounds[-1] <= d:
             bounds = bounds[:-1]  # hooks ending at or before d no longer bind
-        frames.append([0, bounds, bounds[-1] if bounds else n + 1])
-
-    enter(0, ())
-    while frames:
-        frame = frames[-1]
-        t = len(frames) - 1
-        ci, bounds, limit = frame
-        clist = cands[t]
-        descended = False
-        while ci < len(clist):
-            j = clist[ci]
+        limit = bounds[-1] if bounds else n + 1
+        for j in cands[t]:
             if j >= limit:
                 break
-            if feasible(t + 1, j):
-                chosen.append(Hook(ds[t], j))
-                if len(chosen) == k:
-                    yield tuple(chosen)
-                    chosen.pop()
-                else:
-                    frame[0] = ci + 1
-                    enter(t + 1, bounds + (j,))
-                    descended = True
-                    break
-            ci += 1
-        if descended:
-            continue
-        frames.pop()
-        if chosen:
+            if hookable(t + 1, j) and hookable(bisect(ds, j - 1), limit):
+                yield j, bounds + (j,)
+
+    # One generator per descent on an explicit stack: a word may have
+    # hundreds of descents.
+    chosen: list[Hook] = []
+    stack = [choices(0, ())]
+    while stack:
+        for j, bounds in stack[-1]:
+            chosen.append(Hook(ds[len(chosen)], j))
+            if len(chosen) < k:
+                stack.append(choices(len(chosen), bounds))
+                break
+            yield tuple(chosen)
             chosen.pop()
+        else:
+            stack.pop()
+            if chosen:
+                chosen.pop()
 
 
 def enumerate_vhc(p: Sequence[int]) -> list[HookConfig]:
@@ -291,7 +247,20 @@ def fertility(p: Sequence[int], early_exit: int | None = None) -> int | None:
 
 
 def _interval_fertility(w: Perm) -> int:
-    """fert(w) from the table F(a, b) = fert(w[a:b]).
+    """fert(w), with shortcuts for the empty, unsorted and increasing words."""
+    n = len(w)
+    if n == 0:
+        return 1
+    if w[-1] != max(w):
+        return 0
+    if all(x < y for x, y in zip(w, w[1:])):
+        return catalan(n)
+    return _interval_rows(w)[n].get(0, 0)
+
+
+def _interval_rows(w: Perm) -> list[dict[int, int]]:
+    """The table F(a, b) = fert(w[a:b]): ``rows[b]`` maps each a with
+    F(a, b) > 0 to that value, keyed by a in decreasing order.
 
     F(a, a) = 1, and for a < b, with r = b - 1,
 
@@ -299,15 +268,10 @@ def _interval_fertility(w: Perm) -> int:
 
     else 0. So F(a, b) vanishes for a at or before the previous greater
     entry of w[r], and an increasing interval of length L has F = catalan(L).
-    ``rows[b]`` keeps the nonzero F(a, b), keyed by a in decreasing order,
-    which lets each sum stop at the first a left of its bound. Loops only:
-    witnesses thousands of entries long are verified here.
+    The key order lets each sum stop at the first a left of its bound. Loops
+    only: witnesses thousands of entries long are verified here.
     """
     n = len(w)
-    if n == 0:
-        return 1
-    if w[-1] != max(w):
-        return 0
     prev_greater: list[int] = []  # index of the previous greater entry, or -1
     run_start: list[int] = []  # first index of the increasing run ending here
     stack: list[int] = []
@@ -317,8 +281,6 @@ def _interval_fertility(w: Perm) -> int:
         prev_greater.append(stack[-1] if stack else -1)
         stack.append(k)
         run_start.append(run_start[-1] if k and w[k - 1] < v else k)
-    if run_start[-1] == 0:
-        return catalan(n)
     cat = [catalan(j) for j in range(max(k - start for k, start in enumerate(run_start)) + 2)]
 
     rows: list[dict[int, int]] = [{0: 1}]
@@ -342,7 +304,7 @@ def _interval_fertility(w: Perm) -> int:
         for a in sorted(acc, reverse=True):
             row[a] = acc[a]
         rows.append(row)
-    return rows[n].get(0, 0)
+    return rows
 
 
 def is_sorted(p: Sequence[int]) -> bool:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from stacksort import induced_composition, iter_vhc, stack_sort
+from stacksort import Hook, induced_composition, iter_vhc, stack_sort
 
 
 def all_perms(n):
@@ -55,6 +55,24 @@ def stack_sort_recursive(p):
         return ()
     i = word.index(max(word))
     return stack_sort_recursive(word[:i]) + stack_sort_recursive(word[i + 1:]) + (word[i],)
+
+
+def naive_vhc(p):
+    """Reference hook configurations, without the interval kernel: every map
+    from descents to columns j > d with p_x < p_j for all d <= x < j, kept
+    when each pair of hooks is disjoint or strictly nested, sorted by the
+    tuple of northeast columns."""
+    n = len(p)
+    ds = [d for d in range(1, n) if p[d - 1] > p[d]]
+    ends = [[j for j in range(d + 1, n + 1) if all(p[x - 1] < p[j - 1] for x in range(d, j))]
+            for d in ds]
+    configs = []
+    for nes in itertools.product(*ends):
+        hooks = tuple(Hook(d, j) for d, j in zip(ds, nes))
+        # hooks are ordered by southwest column, so i < i' in every pair
+        if all(j <= i2 or j2 < j for (_, j), (i2, j2) in itertools.combinations(hooks, 2)):
+            configs.append(hooks)
+    return sorted(configs, key=lambda c: tuple(h.ne for h in c))
 
 
 def naive_point_colors(p, config):

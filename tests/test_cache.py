@@ -71,6 +71,14 @@ def test_non_canonical_key_is_corrupt(tmp_path):
     path.write_text('{"perm":"2 4","fertility":"2"}\n')  # not normalized
     with pytest.raises(CorruptRecordError):
         read_records(path)
+    good = '{"perm":"1 2","fertility":"2"}\n'
+    for key in ('5', 'null', '["1","2"]', '"1 1"', '"0 1"', '"-1"', '"1  2"', '" 1 2"',
+                '"1 2 "', '"1,2"', '"12"', '"01 2"', '"+1 2"', '"1 x"'):
+        path.write_text(good + '{"perm":%s,"fertility":"2"}\n' % key)
+        with pytest.raises(CorruptRecordError, match="^line 2: "):
+            read_records(path)
+    path.write_text(good + '{"perm":"","fertility":"1"}\n')  # the empty word
+    assert read_records(path)[1] == CacheRecord("", 1)
 
 
 def test_audit_accepts_true_values(tmp_path):

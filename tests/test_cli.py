@@ -84,6 +84,13 @@ class TestFertility:
         assert load_calls == [path]
         assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
 
+    @pytest.mark.parametrize("key", ['5', '"1 1"', '"0 1"', '"2 4"'])
+    def test_malformed_cache_key_is_a_domain_error(self, capsys, tmp_path, key):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"perm":"1 2","fertility":"2"}\n{"perm":%s,"fertility":"2"}\n' % key)
+        code, out, err = run(capsys, "fertility", "12", "--cache", str(path))
+        assert code == 1 and out == "" and "error:" in err and "line 2" in err
+
     def test_duplicate_entry_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "fertility", "11")
         assert code == 1 and out == "" and "error:" in err

@@ -23,6 +23,7 @@ from stacksort import (
     interleaved_witness,
     interval_dominates,
     is_sorted,
+    iter_vhc,
     normalize,
     one_mod4_witness,
     point_colors,
@@ -34,7 +35,8 @@ from stacksort import (
 )
 from stacksort import hooks
 from stacksort.hooks import _project, _reduction_candidate
-from conftest import all_perms, compositions_of, image_counts, naive_point_colors, vhc_table
+from conftest import (
+    all_perms, compositions_of, image_counts, naive_point_colors, naive_vhc, vhc_table)
 
 P27 = (3, 1, 4, 2, 5, 6, 7)
 P95 = (1, 2, 4, 3, 5, 6, 7)
@@ -79,6 +81,17 @@ class TestEnumeration:
         assert enumerate_vhc(()) == [()]
         assert induced_composition((), ()) == ()
         assert fertility(()) == 1
+
+    def test_matches_naive_enumerator_through_s7(self):
+        # the naive enumerator does not prune with the interval kernel
+        for n in range(8):
+            for w in all_perms(n):
+                assert list(iter_vhc(w)) == naive_vhc(w), w
+
+    @settings(max_examples=25, deadline=None)
+    @given(images(10, 12))
+    def test_matches_naive_enumerator_on_images(self, w):
+        assert list(iter_vhc(w)) == naive_vhc(w)
 
 
 class TestColoring:
@@ -217,6 +230,27 @@ class TestIntervalKernel:
     @given(images(8, 14), images(4, 12))
     def test_product_witness_multiplies(self, a, b):
         assert fertility(product_witness(a, b)) == fertility(a) * fertility(b)
+
+
+class TestMetamorphic:
+    """Identities on stack-sort images past the reach of brute force."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(images(10, 30))
+    def test_stationary_hooks_factor_the_fertility(self, w):
+        total = fertility(w)
+        for hook in stationary_hooks(w):
+            outer, inner = factor_at_hook(w, hook)
+            assert fertility(outer) * fertility(inner) == total
+
+    @settings(max_examples=25, deadline=None)
+    @given(images(10, 30), st.randoms(use_true_random=False))
+    def test_order_preserving_relabelling(self, w, rnd):
+        # the i-th smallest of distinct positive integers is at least i
+        values = sorted(rnd.sample(range(1, 10 * len(w)), len(w)))
+        relabelled = tuple(values[x - 1] for x in w)
+        assert fertility(relabelled) == fertility(w)
+        assert valid_compositions(relabelled) == valid_compositions(w)
 
 
 class TestStationaryHooks:
