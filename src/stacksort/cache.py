@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import CorruptRecordError
 from .hooks import fertility
-from .perms import normalize, parse_permutation
+from .perms import is_normalized, normalize, parse_permutation
 
 _log = logging.getLogger(__name__)
 
@@ -51,8 +51,7 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
         word = tuple(int(x) for x in text.split(" ")) if text else ()
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptRecordError(f"line {lineno}: {exc}") from None
-    if (value < 0 or " ".join(map(str, word)) != text
-            or sorted(word) != list(range(1, len(word) + 1))):
+    if value < 0 or " ".join(map(str, word)) != text or not is_normalized(word):
         raise CorruptRecordError(f"line {lineno}: non-canonical record {line!r}")
     return CacheRecord(text, value)
 
@@ -82,19 +81,6 @@ def read_records(path: str | os.PathLike) -> list[CacheRecord]:
     return records
 
 
-def _tail_start(fh, end: int) -> int:
-    """Offset just past the last newline before ``end``, or 0."""
-    pos = end
-    while pos > 0:
-        step = min(pos, 4096)
-        pos -= step
-        fh.seek(pos)
-        newline = fh.read(step).rfind(b"\n")
-        if newline >= 0:
-            return pos + newline + 1
-    return 0
-
-
 def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> None:
     """Append records under an exclusive file lock.
 
@@ -106,11 +92,11 @@ def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> N
         return
     with open(path, "a+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
-        end = fh.seek(0, os.SEEK_END)
-        start = _tail_start(fh, end)
-        if start < end:
-            fh.seek(start)
-            tail = fh.read(end - start).decode("utf-8", errors="replace")
+        fh.seek(0)
+        data = fh.read()
+        start = data.rfind(b"\n") + 1
+        if start < len(data):
+            tail = data[start:].decode("utf-8", errors="replace")
             try:
                 _parse_line(tail, 0)
                 payload = "\n" + payload

@@ -36,11 +36,8 @@ the test suite holds :func:`fertility` to that formula.
 
 Configurations are produced in a canonical order: descents are filled left to
 right and northeast columns scanned increasingly, so the output is sorted
-lexicographically by the tuple of northeast columns. The same interval table
-prunes the search: the descents left of a column ``stop`` can all be hooked
-below it exactly when the columns from the first of them to ``stop - 1`` form
-a sorted word. Column ``stop - 1`` is never a descent, because ``stop`` is a
-northeast endpoint, which lies above its left neighbour, or n + 1.
+lexicographically by the tuple of northeast columns. :func:`iter_vhc` prunes
+the search with the same interval table.
 """
 from __future__ import annotations
 
@@ -74,38 +71,23 @@ class Hook(NamedTuple):
 HookConfig = tuple[Hook, ...]
 
 
-def _ne_candidates(p: Sequence[int], d: int) -> list[int]:
-    """Columns j > d that can terminate a hook starting at column d.
-
-    Requires p_j above the start value and above every entry strictly
-    between (constraint 2).
-    """
-    out = []
-    hi = 0
-    for j in range(d + 1, len(p) + 1):
-        v = p[j - 1]
-        if v > hi:
-            if v > p[d - 1]:
-                out.append(j)
-            hi = v
-    return out
-
-
 def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
     """Yield every valid hook configuration of ``p`` in canonical order.
 
     A word with no descents has exactly one configuration, the empty one; an
     unsorted word yields nothing.
 
-    The search never meets a dead end. The descents ``ds[t:]`` left of a
-    column ``stop`` can all be hooked below ``stop`` exactly when columns
-    ``ds[t] .. stop - 1`` form a sorted word, because constraints 2 and 3 only
-    look at columns under a hook; the interval table of :func:`fertility`
-    answers that in one lookup. Column ``stop - 1`` is never a descent, since
-    ``stop`` is a northeast candidate (above its left neighbour) or n + 1. A
-    hook ``(d, j)`` is taken only when the region under it and the rest of
-    the enclosing hook both pass this test, so every partial configuration
-    extends to a full one.
+    By constraint 2 a hook from column d can end only at a column above p_d
+    and above every column between: the chain ``up[d], up[up[d]], ...`` of
+    next greater entries. The search never meets a dead end. The descents
+    ``ds[t:]`` left of a column ``stop`` can all be hooked below ``stop``
+    exactly when columns ``ds[t] .. stop - 1`` form a sorted word, because
+    constraints 2 and 3 only look at columns under a hook; the interval table
+    of :func:`fertility` answers that in one lookup. Column ``stop - 1`` is
+    never a descent, since ``stop`` is a northeast candidate (above its left
+    neighbour) or n + 1. A hook ``(d, j)`` is taken only when the region under
+    it and the rest of the enclosing hook both pass this test, so every
+    partial configuration extends to a full one.
     """
     ds = descents(p)
     k = len(ds)
@@ -115,8 +97,13 @@ def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
     n = len(p)
     if p[-1] != max(p):
         return  # no hook can leave the maximum
-    cands = [_ne_candidates(p, d) for d in ds]
     rows = _interval_rows(tuple(p))
+    up = [n + 1] * (n + 1)  # up[c]: the first column right of c with a larger entry
+    pending: list[int] = []  # columns still waiting for a larger entry
+    for c in range(1, n + 1):
+        while pending and p[pending[-1] - 1] < p[c - 1]:
+            up[pending.pop()] = c
+        pending.append(c)
 
     def hookable(t: int, stop: int) -> bool:
         return t >= k or ds[t] >= stop or ds[t] - 1 in rows[stop - 1]
@@ -127,11 +114,11 @@ def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
         while bounds and bounds[-1] <= d:
             bounds = bounds[:-1]  # hooks ending at or before d no longer bind
         limit = bounds[-1] if bounds else n + 1
-        for j in cands[t]:
-            if j >= limit:
-                break
+        j = up[d]
+        while j < limit:
             if hookable(t + 1, j) and hookable(bisect(ds, j - 1), limit):
                 yield j, bounds + (j,)
+            j = up[j]
 
     # One generator per descent on an explicit stack: a word may have
     # hundreds of descents.
@@ -240,22 +227,16 @@ def fertility(p: Sequence[int], early_exit: int | None = None) -> int | None:
     >>> fertility((2, 1))
     0
     """
-    total = _interval_fertility(tuple(p))
+    w = tuple(p)
+    if w and w[-1] != max(w):
+        return 0
+    if all(x < y for x, y in zip(w, w[1:])):
+        total = catalan(len(w))  # the empty word included
+    else:
+        total = _interval_rows(w)[len(w)].get(0, 0)
     if total and early_exit is not None and total > early_exit:
         return None
     return total
-
-
-def _interval_fertility(w: Perm) -> int:
-    """fert(w), with shortcuts for the empty, unsorted and increasing words."""
-    n = len(w)
-    if n == 0:
-        return 1
-    if w[-1] != max(w):
-        return 0
-    if all(x < y for x, y in zip(w, w[1:])):
-        return catalan(n)
-    return _interval_rows(w)[n].get(0, 0)
 
 
 def _interval_rows(w: Perm) -> list[dict[int, int]]:

@@ -161,15 +161,20 @@ class DensityBound(NamedTuple):
 
 
 def density_lower_bound(n: int) -> DensityBound:
-    """How many f in [0, n) are covered by the witness constructions.
+    """How many f in [0, n) are fertility values by the paper's two facts.
 
-    Counts f with f % 4 != 3, or f divisible by 27 or by 95. The count is
-    periodic with period 4 * 27 * 95 = 10260, over which the ratio is exactly
-    1954/2565.
+    Counts f with f % 4 != 3, or f divisible by the seed 27 or 95: fertility
+    values are closed under products, and every f % 4 != 3 is one. This is a
+    lower bound on what the constructions cover, since :func:`families.witness`
+    also builds some other 3-mod-4 targets (119 and 275 by the interleaved
+    family). Membership has period 4 * 27 * 95 = 10260, with 7816 members in
+    each period (ratio 1954/2565), so only the remainder is scanned.
     """
     if n < 1:
         raise InvalidArgumentError("n must be positive")
-    count = sum(1 for f in range(n) if f % 4 != 3 or f % 27 == 0 or f % 95 == 0)
+    periods, rest = divmod(n, 4 * 27 * 95)
+    count = 7816 * periods + sum(
+        1 for f in range(rest) if f % 4 != 3 or f % 27 == 0 or f % 95 == 0)
     return DensityBound(count, Fraction(count, n))
 
 

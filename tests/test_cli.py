@@ -3,6 +3,7 @@ import json
 import pytest
 
 from stacksort import cache as cache_mod
+from stacksort import cli
 from stacksort import InvalidArgumentError, StacksortError, fertility, search, spectrum
 from stacksort import catalan, even_witness, parse_permutation, render_svg, witness
 from stacksort.cli import main
@@ -48,6 +49,13 @@ class TestFertility:
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "both")
         assert code == 0
         assert out == "vhc 27\nbrute 27\nagree\n"
+
+    def test_both_disagree_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "fertility_brute", lambda p, limit: 26)
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "both")
+        assert code == 1 and out == "vhc 27\nbrute 26\ndisagree\n"
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "both", "--json")
+        assert code == 1 and json.loads(out)["fertility"] == "27"
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--json")
@@ -175,6 +183,11 @@ class TestClassify:
         _, out, _ = run(capsys, "classify", "2", "--max-n", "5")
         assert out == "f 2\nverdict fertile\nwitness 12\nsearched_n 0\n"
 
+    def test_fertile_by_scan_json(self, capsys):
+        code, out, _ = run(capsys, "classify", "123", "--max-n", "7", "--json")
+        assert code == 0 and out == ('{"f": "123", "verdict": "fertile", "searched_n": 7, '
+                                     '"witness": "1 3 2 4 5 6 7"}\n')
+
     def test_cache_loads_the_file_once(self, capsys, tmp_path, load_calls):
         path = str(tmp_path / "cache.jsonl")
         code, out, _ = run(capsys, "classify", "27", "--max-n", "1", "--cache", path)
@@ -228,6 +241,11 @@ class TestBoundCheck:
     def test_random(self, capsys):
         code, out, _ = run(capsys, "bound-check", "--random", "50", "--seed", "7")
         assert code == 0 and out == "checked 50\nall hold\n"
+
+    def test_unsorted_perm_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "bound-check", "--perm", "21")
+        assert code == 1 and out == ""
+        assert err == "error: 21 is unsorted: empty composition matrix\n"
 
     def test_hypothesis_violation_is_domain_error(self, capsys):
         code, _, err = run(capsys, "bound-check", "1,1;1,2")

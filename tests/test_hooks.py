@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,18 @@ class TestEnumeration:
     @given(images(10, 12))
     def test_matches_naive_enumerator_on_images(self, w):
         assert list(iter_vhc(w)) == naive_vhc(w)
+
+    def test_every_placed_hook_extends_to_a_configuration(self, monkeypatch):
+        # with no dead end, each hook placed starts a distinct prefix of a yield
+        placed = []
+        monkeypatch.setattr(hooks, "Hook", lambda sw, ne: placed.append(1) or Hook(sw, ne))
+        rng = random.Random(6)
+        words = [w for n in range(1, 8) for w in all_perms(n)]
+        words += [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(10, 31)]
+        for w in words:
+            placed.clear()
+            prefixes = {c[:i] for c in iter_vhc(w) for i in range(1, len(c) + 1)}
+            assert len(placed) == len(prefixes), w
 
 
 class TestColoring:

@@ -212,6 +212,19 @@ class TestDensity:
             b = density_lower_bound(n + 10260).count
             assert b - a == 7816
 
+    @staticmethod
+    def direct(n):
+        return sum(1 for f in range(n) if f % 4 != 3 or f % 27 == 0 or f % 95 == 0)
+
+    def test_matches_the_direct_count(self):
+        for n in (1, 2, 3, 27, 95, 10259, 10260, 10261, 20520, 25000, 30779, 30780, 30781):
+            assert density_lower_bound(n).count == self.direct(n), n
+
+    def test_huge_n_counts_whole_periods(self):
+        # a loop over every f < n would not return for n = 10**12
+        periods, rest = divmod(10**12, 10260)
+        assert density_lower_bound(10**12).count == 7816 * periods + self.direct(rest)
+
     def test_bad_n(self):
         with pytest.raises(ValueError):
             density_lower_bound(0)
