@@ -3,13 +3,16 @@
 One record per line: ``{"perm":"3 1 4 2 5 6 7","fertility":"27"}``. Keys are
 the space-separated text of the normalized word; fertility values travel as
 decimal strings so arbitrarily large counts survive serialization. Appends
-take an exclusive lock on the file, reads a shared one. A crash in the middle
-of an append can leave an unterminated last line: reads skip it with a
-warning on the ``stacksort`` logger, and the next append cuts it off.
+take an exclusive lock on the file, reads a shared one. A line ends at
+``\n`` only, and a ``\r`` before it is allowed; lines that are empty or a lone
+``\r`` are skipped. A crash in the middle of an append can leave an
+unterminated last line: reads skip it with a warning on the ``stacksort``
+logger, and the next append cuts it off.
 """
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import logging
 import os
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import CorruptRecordError
 from .hooks import fertility
-from .perms import is_normalized, normalize, parse_permutation
+from .perms import normalize, parse_permutation
 
 _log = logging.getLogger(__name__)
 
@@ -39,19 +42,29 @@ def record_line(record: CacheRecord) -> str:
                       separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=128)
+def _alphabet(n: int) -> frozenset[str]:
+    """The canonical entry texts ``"1"`` .. ``str(n)``."""
+    return frozenset(map(str, range(1, n + 1)))
+
+
 def _parse_line(line: str, lineno: int) -> CacheRecord:
     """One record; a key that is not the canonical text of a permutation of
-    1..n, or a negative value, is a :class:`CorruptRecordError`."""
+    1..n, or a negative value, is a :class:`CorruptRecordError`.
+
+    n tokens that are, as a set, the n texts "1" .. str(n) are exactly such a
+    key: no duplicate, zero, sign, leading zero or stray space gets through.
+    """
     try:
         obj = json.loads(line)
         text = obj["perm"]
         value = int(obj["fertility"])
         if not isinstance(text, str):
             raise TypeError(f"perm is {type(text).__name__}, not text")
-        word = tuple(int(x) for x in text.split(" ")) if text else ()
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptRecordError(f"line {lineno}: {exc}") from None
-    if value < 0 or " ".join(map(str, word)) != text or not is_normalized(word):
+    tokens = text.split(" ") if text else ()
+    if value < 0 or set(tokens) != _alphabet(len(tokens)):
         raise CorruptRecordError(f"line {lineno}: non-canonical record {line!r}")
     return CacheRecord(text, value)
 
@@ -64,15 +77,15 @@ def read_records(path: str | os.PathLike) -> list[CacheRecord]:
     """
     if not os.path.exists(path):
         return []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         fcntl.flock(fh, fcntl.LOCK_SH)
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise CorruptRecordError(f"{os.fspath(path)}: {exc}") from None
-    lines = text.splitlines()
-    tail = "" if text.endswith("\n") or not lines else lines.pop()
-    records = [_parse_line(line, i) for i, line in enumerate(lines, start=1) if line]
+    *lines, tail = text.split("\n")
+    records = [_parse_line(line, i) for i, line in enumerate(lines, start=1)
+               if line not in ("", "\r")]
     if tail:
         try:
             records.append(_parse_line(tail, len(lines) + 1))

@@ -1,9 +1,13 @@
+import json
 import logging
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stacksort
 
@@ -16,6 +20,8 @@ from stacksort import (
     load,
     read_records,
 )
+from stacksort.cache import _parse_line
+from stacksort.perms import is_normalized
 
 
 def test_cache_key_normalizes():
@@ -81,6 +87,49 @@ def test_non_canonical_key_is_corrupt(tmp_path):
     assert read_records(path)[1] == CacheRecord("", 1)
 
 
+def reference_accepts(key) -> bool:
+    """The key check by integers: every token parses, the word re-joins to the
+    same text and it is a permutation of 1..n."""
+    if not isinstance(key, str):
+        return False
+    try:
+        word = tuple(int(x) for x in key.split(" ")) if key else ()
+    except ValueError:
+        return False
+    return " ".join(map(str, word)) == key and is_normalized(word)
+
+
+def accepts(key) -> bool:
+    try:
+        _parse_line(json.dumps({"perm": key, "fertility": "1"}), 1)
+    except CorruptRecordError:
+        return False
+    return True
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="0123456789 +-_x,", max_size=14) | st.text(alphabet="123 ", max_size=7))
+def test_key_check_matches_the_integer_check_on_drawn_strings(key):
+    assert accepts(key) == reference_accepts(key)
+
+
+def test_key_check_matches_the_integer_check_on_permutations_and_malformed_keys():
+    rng = random.Random(7)
+    keys = [" ".join(map(str, rng.sample(range(1, n + 1), n))) for n in range(31) for _ in range(3)]
+    assert all(accepts(key) and reference_accepts(key) for key in keys)
+    for raw in ('5', 'null', '["1","2"]', '"1 1"', '"0 1"', '"-1"', '"1  2"', '" 1 2"',
+                '"1 2 "', '"1,2"', '"12"', '"01 2"', '"+1 2"', '"1 x"', '"2 4"', '""'):
+        key = json.loads(raw)
+        assert accepts(key) == reference_accepts(key) == (key == "")
+
+
+def test_load_keeps_first_occurrence_order(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    records = [("2 1 3", 1), ("1", 1), ("1 2", 2), ("2 1 3", 1), ("1", 1), ("2 1", 0)]
+    append_records(path, [CacheRecord(*r) for r in records])
+    assert list(load(path).items()) == [("2 1 3", 1), ("1", 1), ("1 2", 2), ("2 1", 0)]
+
+
 def test_audit_accepts_true_values(tmp_path):
     path = tmp_path / "cache.jsonl"
     append_records(path, [CacheRecord("3 1 4 2 5 6 7", 27), CacheRecord("2 1", 0)])
@@ -119,6 +168,39 @@ def test_append_after_a_torn_tail_cuts_it_off(tmp_path, torn):
     path.write_text(GOOD + torn)
     append_records(path, [CacheRecord("1 2 3", 5)])
     assert path.read_text() == GOOD + '{"perm":"1 2 3","fertility":"5"}\n'
+
+
+def test_a_form_feed_does_not_end_a_line(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + '{"perm":"1 2","fertility":"2"}\x0c{"perm":"1","fertility":"1"}')
+    with caplog.at_level(logging.WARNING, logger="stacksort"):
+        assert read_records(path) == [CacheRecord("1 2", 2), CacheRecord("2 1", 0)]
+    assert "unterminated last line" in caplog.text
+    append_records(path, [CacheRecord("1 2 3", 5)])
+    assert path.read_text() == GOOD + '{"perm":"1 2 3","fertility":"5"}\n'
+
+
+NOTE = '{"perm":"1","fertility":"1","note":"\u2028\x85"}'
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ('{"perm":"1","fertility":"1"}\x0b\n' + GOOD + "not json\n", 1),
+    ('{"perm":"1","fertility":"1"}\r{"perm":"1 2","fertility":"2"}\n', 1),
+    (NOTE + "\n\n\r\n" + GOOD.replace("\n", "\r\n") + "not json\n", 6),
+])
+def test_error_line_numbers_are_physical_lines(tmp_path, text, lineno):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(CorruptRecordError, match=f"^line {lineno}: "):
+        read_records(path)
+
+
+def test_crlf_file_with_blank_lines_loads(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b'\r\n{"perm":"1 2","fertility":"2"}\r\n\n\r\n{"perm":"2 1","fertility":"0"}\r\n')
+    assert load(path) == {"1 2": 2, "2 1": 0}
+    append_records(path, [CacheRecord("1 2 3", 5)])
+    assert load(path) == {"1 2": 2, "2 1": 0, "1 2 3": 5}
 
 
 def test_bad_line_before_the_end_is_corrupt(tmp_path):

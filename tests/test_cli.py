@@ -195,6 +195,16 @@ class TestClassify:
         assert load_calls == [path]
         assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
 
+    @pytest.mark.parametrize("keys, witness", [(("2 1 3", "1"), "213"), (("1", "2 1 3"), "1")])
+    def test_cache_hit_is_the_first_fitting_record_in_the_file(self, capsys, tmp_path, keys,
+                                                                witness):
+        path = tmp_path / "cache.jsonl"
+        cache_mod.append_records(path, [cache_mod.CacheRecord(key, 1) for key in keys])
+        before = path.read_bytes()
+        code, out, _ = run(capsys, "classify", "1", "--max-n", "3", "--cache", str(path))
+        assert code == 0 and out == f"f 1\nverdict fertile\nwitness {witness}\nsearched_n 0\n"
+        assert path.read_bytes() == before
+
     def test_oversized_scan_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "classify", "31", "--max-n", "20")
         assert code == 1 and out == "" and "limit" in err

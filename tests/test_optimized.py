@@ -7,11 +7,13 @@ import stacksort
 
 SCRIPT = """
 import math
+import os
 import sys
+import tempfile
 from unittest import mock
 from stacksort import (
-    ReductionNotFoundError, VerificationFailedError, families, hooks, reduce_stationary, search,
-    spectrum, witness)
+    CorruptRecordError, ReductionNotFoundError, VerificationFailedError, families, hooks, load,
+    reduce_stationary, search, spectrum, witness)
 
 if __debug__:
     sys.exit("asserts are still on")
@@ -31,6 +33,11 @@ with mock.patch.object(families, "fertility", lambda p: 13):
     expect(VerificationFailedError, lambda: witness(12))
 with mock.patch.object(hooks, "_reduction_candidate", lambda p, hook: (2, 1)):
     expect(ReductionNotFoundError, lambda: reduce_stationary((1, 3, 2, 4), 1))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cache.jsonl")
+    with open(path, "w") as fh:
+        fh.write('{"perm":"1 1","fertility":"2"}\\n')
+    expect(CorruptRecordError, lambda: load(path))
 print("ok")
 """
 
