@@ -16,8 +16,7 @@ import functools
 import json
 import logging
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CorruptRecordError
 from .hooks import fertility
@@ -26,8 +25,7 @@ from .perms import normalize, parse_permutation
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CacheRecord:
+class CacheRecord(NamedTuple):
     perm: str  # canonical spaced text of a normalized word
     fertility: int
 
@@ -50,18 +48,22 @@ def _alphabet(n: int) -> frozenset[str]:
 
 def _parse_line(line: str, lineno: int) -> CacheRecord:
     """One record; a key that is not the canonical text of a permutation of
-    1..n, or a negative value, is a :class:`CorruptRecordError`.
+    1..n, or a value that is not the text :func:`record_line` writes for a
+    nonnegative count, is a :class:`CorruptRecordError`.
 
     n tokens that are, as a set, the n texts "1" .. str(n) are exactly such a
     key: no duplicate, zero, sign, leading zero or stray space gets through.
+    A value is such text when ``str`` of its ``int`` gives it back.
     """
     try:
         obj = json.loads(line)
-        text = obj["perm"]
-        value = int(obj["fertility"])
+        text, digits = obj["perm"], obj["fertility"]
+        value = int(digits)
         if not isinstance(text, str):
             raise TypeError(f"perm is {type(text).__name__}, not text")
-    except (ValueError, KeyError, TypeError) as exc:
+        if str(value) != digits:
+            raise ValueError(f"fertility {digits!r} is not canonical decimal text")
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CorruptRecordError(f"line {lineno}: {exc}") from None
     tokens = text.split(" ") if text else ()
     if value < 0 or set(tokens) != _alphabet(len(tokens)):

@@ -298,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # print fertilities of any length
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -113,9 +113,10 @@ def witness(f: int) -> WitnessReport:
 
     Zero and one have fixed witnesses; even targets and targets congruent to
     1 mod 4 come from the two witness families. A target congruent to 3 mod 4
-    is matched against the seed list or factored as seed * cofactor with the
-    cofactor built recursively. Every returned witness is re-verified through
-    the fertility engine. ``method == "none"`` means only that this strategy
+    is matched against the seed list or factored as seed * cofactor; both are
+    3 mod 4, so the cofactor is 1 mod 4 and :func:`one_mod4_witness` builds
+    it in one step. Every returned witness is verified once through the
+    fertility engine. ``method == "none"`` means only that this strategy
     found nothing.
     """
     if f < 0:
@@ -133,8 +134,7 @@ def witness(f: int) -> WitnessReport:
         if value == f:
             return _verified(f, perm, method)
     for value, _, perm in seeds:
-        if f % value == 0:
-            rest = witness(f // value)
-            if rest.witness is not None:
-                return _verified(f, product_witness(perm, rest.witness), "product")
+        if f % value == 0:  # f // value is 1 mod 4 and above 1: exact seeds returned above
+            cofactor = one_mod4_witness((f // value - 1) // 4)
+            return _verified(f, product_witness(perm, cofactor), "product")
     return WitnessReport(f, None, "none")

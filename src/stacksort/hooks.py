@@ -97,13 +97,7 @@ def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
     n = len(p)
     if p[-1] != max(p):
         return  # no hook can leave the maximum
-    rows = _interval_rows(tuple(p))
-    up = [n + 1] * (n + 1)  # up[c]: the first column right of c with a larger entry
-    pending: list[int] = []  # columns still waiting for a larger entry
-    for c in range(1, n + 1):
-        while pending and p[pending[-1] - 1] < p[c - 1]:
-            up[pending.pop()] = c
-        pending.append(c)
+    rows, up = _interval_rows(tuple(p))
 
     def hookable(t: int, stop: int) -> bool:
         return t >= k or ds[t] >= stop or ds[t] - 1 in rows[stop - 1]
@@ -233,41 +227,43 @@ def fertility(p: Sequence[int], early_exit: int | None = None) -> int | None:
     if all(x < y for x, y in zip(w, w[1:])):
         total = catalan(len(w))  # the empty word included
     else:
-        total = _interval_rows(w)[len(w)].get(0, 0)
+        total = _interval_rows(w)[0][len(w)].get(0, 0)
     if total and early_exit is not None and total > early_exit:
         return None
     return total
 
 
-def _interval_rows(w: Perm) -> list[dict[int, int]]:
-    """The table F(a, b) = fert(w[a:b]): ``rows[b]`` maps each a with
-    F(a, b) > 0 to that value, keyed by a in decreasing order.
+def _interval_rows(w: Perm) -> tuple[list[dict[int, int]], list[int]]:
+    """The table F(a, b) = fert(w[a:b]) and the next-greater chain of ``w``.
 
-    F(a, a) = 1, and for a < b, with r = b - 1,
+    ``rows[b]`` maps each a with F(a, b) > 0 to that value, keyed by a in
+    decreasing order. F(a, a) = 1, and for a < b, with r = b - 1,
 
         F(a, b) = sum_{i=a}^{r} F(a, i) * F(i, r)   if w[r] = max w[a:b],
 
     else 0. So F(a, b) vanishes for a at or before the previous greater
     entry of w[r], and an increasing interval of length L has F = catalan(L).
-    The key order lets each sum stop at the first a left of its bound. Loops
-    only: witnesses thousands of entries long are verified here.
+    The key order lets each sum stop at the first a left of its bound.
+    ``up[c]`` is the first 1-based column right of column c with a larger
+    entry, or n + 1. One loop: witnesses thousands of entries long are
+    verified here.
     """
     n = len(w)
-    prev_greater: list[int] = []  # index of the previous greater entry, or -1
-    run_start: list[int] = []  # first index of the increasing run ending here
-    stack: list[int] = []
-    for k, v in enumerate(w):
-        while stack and w[stack[-1]] < v:
-            stack.pop()
-        prev_greater.append(stack[-1] if stack else -1)
-        stack.append(k)
-        run_start.append(run_start[-1] if k and w[k - 1] < v else k)
-    cat = [catalan(j) for j in range(max(k - start for k, start in enumerate(run_start)) + 2)]
-
     rows: list[dict[int, int]] = [{0: 1}]
-    for b in range(1, n + 1):
+    up = [n + 1] * (n + 1)
+    stack: list[int] = []  # columns still waiting for a larger entry
+    cat = [1]  # catalan(0 .. longest increasing run so far)
+    rs = 0  # first index of the increasing run ending at w[r]
+    for b, v in enumerate(w, start=1):
         r = b - 1
-        lo, rs = prev_greater[r] + 1, run_start[r]
+        while stack and w[stack[-1] - 1] < v:
+            up[stack.pop()] = b
+        lo = stack[-1] if stack else 0  # one past the previous greater entry
+        stack.append(b)
+        rs = rs if r and w[r - 1] < v else r
+        if b - rs == len(cat):
+            j = len(cat) - 1
+            cat.append(cat[j] * (4 * j + 2) // (j + 2))
         # F(a, b) for rs <= a <= b is a Catalan number; the sums fill a < rs.
         # Pushing each nonzero F(i, r) into the F(a, i) it multiplies touches
         # nonzero products only.
@@ -285,7 +281,7 @@ def _interval_rows(w: Perm) -> list[dict[int, int]]:
         for a in sorted(acc, reverse=True):
             row[a] = acc[a]
         rows.append(row)
-    return rows
+    return rows, up
 
 
 def is_sorted(p: Sequence[int]) -> bool:
@@ -391,12 +387,9 @@ def reduce_stationary(p: Sequence[int], i: int) -> Perm:
     ReductionNotFoundError is raised if it misses.
     """
     word = tuple(p)
-    n = len(word)
     configs = enumerate_vhc(word)
     if not configs:
         raise PreconditionFailedError("reduction requires a sorted permutation")
-    if n < 3:
-        raise PreconditionFailedError("reduction requires length at least 3")
     k = len(configs[0])
     if not 1 <= i <= k:
         raise PreconditionFailedError(f"descent ordinal {i} out of range 1..{k}")

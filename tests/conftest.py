@@ -8,6 +8,7 @@ engine.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -90,6 +91,18 @@ def naive_point_colors(p, config):
                 best, best_v = t, p[h.ne - 1]
         colors.append(best)
     return tuple(colors)
+
+
+@pytest.fixture(autouse=True)
+def int_digit_limit():
+    """``cli.main`` lifts the int-to-decimal digit limit for its process;
+    give it back so each test starts from the interpreter's own limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture(scope="session")

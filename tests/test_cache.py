@@ -87,6 +87,38 @@ def test_non_canonical_key_is_corrupt(tmp_path):
     assert read_records(path)[1] == CacheRecord("", 1)
 
 
+@pytest.mark.parametrize("value", [
+    '27.9', 'true', '"+27"', '"2_7"', '" 27 "', '"027"', '"\u0662\u0667"', '1e400', '27', '"-1"',
+    '""', 'null'])
+def test_non_canonical_value_is_corrupt(tmp_path, value):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"perm":"1","fertility":"1"}\n{"perm":"1","fertility":%s}\n' % value,
+                    encoding="utf-8")
+    with pytest.raises(CorruptRecordError, match="^line 2: "):
+        read_records(path)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789 +-_.e\u0662", max_size=6))
+def test_value_check_is_the_digit_rule(digits):
+    # ASCII digits with no leading zero, "0" itself included
+    canonical = digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0")
+    line = json.dumps({"perm": "1", "fertility": digits})
+    try:
+        _parse_line(line, 1)
+    except CorruptRecordError:
+        assert not canonical
+    else:
+        assert canonical
+
+
+def test_zero_and_long_values_load(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    big = "1" + "0" * 299
+    path.write_text('{"perm":"2 1","fertility":"0"}\n{"perm":"1","fertility":"%s"}\n' % big)
+    assert read_records(path) == [CacheRecord("2 1", 0), CacheRecord("1", int(big))]
+
+
 def reference_accepts(key) -> bool:
     """The key check by integers: every token parses, the word re-joins to the
     same text and it is a permutation of 1..n."""

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -99,9 +100,54 @@ class TestFertility:
         code, out, err = run(capsys, "fertility", "12", "--cache", str(path))
         assert code == 1 and out == "" and "error:" in err and "line 2" in err
 
+    def test_non_numeric_cache_value_is_a_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"perm":"1","fertility":1e400}\n')
+        code, out, err = run(capsys, "fertility", "1", "--cache", str(path))
+        assert code == 1 and out == "" and err.startswith("error: line 1: ")
+
     def test_duplicate_entry_is_a_domain_error(self, capsys):
         code, out, err = run(capsys, "fertility", "11")
         assert code == 1 and out == "" and "error:" in err
+
+
+def default_digit_limit():
+    """CPython's default; the conftest fixture puts the old limit back."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)
+
+
+class TestLongFertility:
+    """C(7200), the fertility of 1 2 .. 7200, has 4,329 digits: more than
+    CPython's default limit of 4,300 for int-to-decimal conversions."""
+
+    WORD = [str(x) for x in range(1, 7201)]
+
+    @pytest.fixture(autouse=True)
+    def start_at_the_default_limit(self):
+        default_digit_limit()
+
+    def expected(self):
+        text = str(catalan(7200))  # cli.main has lifted the limit
+        assert len(text) == 4329
+        return text
+
+    def test_text(self, capsys):
+        code, out, _ = run(capsys, "fertility", *self.WORD)
+        assert code == 0 and out == self.expected() + "\n"
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "fertility", *self.WORD, "--json")
+        assert code == 0 and json.loads(out)["fertility"] == self.expected()
+
+    def test_cache_miss_then_hit(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.jsonl")
+        code, out, _ = run(capsys, "fertility", *self.WORD, "--cache", path)
+        assert code == 0 and out == self.expected() + "\n"
+        default_digit_limit()  # the read must not lean on the first run
+        monkeypatch.setattr(cli, "fertility", lambda *a, **k: pytest.fail("cache miss"))
+        code, out, _ = run(capsys, "fertility", *self.WORD, "--cache", path)
+        assert code == 0 and out == self.expected() + "\n"
 
 
 class TestPreimages:

@@ -16,6 +16,7 @@ from stacksort import (
     valid_compositions,
     witness,
 )
+from stacksort import families
 from conftest import all_perms
 
 
@@ -138,6 +139,13 @@ class TestWitness:
             report = witness(f)
             assert report.method == "product"
             assert fertility(report.witness) == f
+
+    def test_a_product_is_verified_once(self, monkeypatch):
+        # the cofactor 5 comes straight from the 4m+1 family, unverified
+        calls = []
+        monkeypatch.setattr(families, "fertility", lambda p: calls.append(p) or fertility(p))
+        report = witness(27 * 5)
+        assert report.method == "product" and calls == [report.witness]
 
     def test_product_of_two_seeds_is_1_mod_4(self):
         # e.g. 27 * 27: even the product route is unnecessary there

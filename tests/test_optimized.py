@@ -38,6 +38,9 @@ with tempfile.TemporaryDirectory() as tmp:
     with open(path, "w") as fh:
         fh.write('{"perm":"1 1","fertility":"2"}\\n')
     expect(CorruptRecordError, lambda: load(path))
+    with open(path, "w") as fh:
+        fh.write('{"perm":"1","fertility":1.5}\\n')
+    expect(CorruptRecordError, lambda: load(path))
 print("ok")
 """
 
