@@ -18,9 +18,9 @@ import logging
 import os
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import CorruptRecordError
+from .errors import CorruptRecordError, SizeLimitExceededError
 from .hooks import fertility
-from .perms import normalize, parse_permutation
+from .perms import normalize, parse_permutation, perm_text
 
 _log = logging.getLogger(__name__)
 
@@ -32,7 +32,7 @@ class CacheRecord(NamedTuple):
 
 def cache_key(p: Sequence[int]) -> str:
     """Canonical cache key: the normalized word, space-separated."""
-    return " ".join(str(x) for x in normalize(p))
+    return perm_text(normalize(p), compact=False)
 
 
 def record_line(record: CacheRecord) -> str:
@@ -58,7 +58,13 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
     try:
         obj = json.loads(line)
         text, digits = obj["perm"], obj["fertility"]
-        value = int(digits)
+        try:
+            value = int(digits)
+        except ValueError:  # canonical text fails only on the interpreter's digit limit
+            if type(digits) is str and digits.isascii() and digits.isdigit() and digits[0] != "0":
+                raise SizeLimitExceededError(f"line {lineno}: {len(digits)} digits exceed the "
+                                             "limit; call sys.set_int_max_str_digits(0)") from None
+            raise
         if not isinstance(text, str):
             raise TypeError(f"perm is {type(text).__name__}, not text")
         if str(value) != digits:
@@ -113,7 +119,7 @@ def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> N
         if start < len(data):
             tail = data[start:].decode("utf-8", errors="replace")
             try:
-                _parse_line(tail, 0)
+                _parse_line(tail, data.count(b"\n") + 1)
                 payload = "\n" + payload
             except CorruptRecordError:
                 _log.warning("%s: cutting off an unterminated last line", os.fspath(path))

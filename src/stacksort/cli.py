@@ -12,7 +12,7 @@ from . import cache as cache_mod
 from . import families, search, svg
 from .errors import InvalidArgumentError, StacksortError
 from .hooks import enumerate_vhc, fertility, induced_composition, valid_compositions
-from .oracle import fertility_brute, preimages
+from .oracle import BRUTE_FORCE_LIMIT, fertility_brute, preimages
 from .perms import Perm, parse_permutation, perm_text, stack_sort
 
 
@@ -30,7 +30,7 @@ def _load_cache(path: str | None) -> dict[str, int]:
 
 def _store_cache(path: str | None, entries: dict[Perm, int], known: dict[str, int]) -> None:
     """Append the entries that ``known``, the table loaded from ``path``, lacks."""
-    if not path or not entries:
+    if not path:
         return
     fresh = []
     for perm, value in entries.items():
@@ -254,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--method", choices=("vhc", "brute", "both"), default="vhc")
     cmd.add_argument("--early-exit", type=int, default=None, metavar="F",
                      help="report 'exceeded' when the fertility exceeds F (vhc method)")
-    cmd.add_argument("--max-n", type=int, default=9, metavar="N",
+    cmd.add_argument("--max-n", type=int, default=BRUTE_FORCE_LIMIT, metavar="N",
                      help="brute-force size limit")
     cmd.add_argument("--cache", metavar="FILE", help="JSON-lines fertility cache")
 
     cmd = add("preimages", _cmd_preimages, "list stack-sorting preimages")
     cmd.add_argument("perm", nargs="+")
-    cmd.add_argument("--max-n", type=int, default=9, metavar="N")
+    cmd.add_argument("--max-n", type=int, default=BRUTE_FORCE_LIMIT, metavar="N")
 
     cmd = add("vhc", _cmd_vhc, "enumerate hook configurations")
     cmd.add_argument("perm", nargs="+")

@@ -55,7 +55,7 @@ class ReductionNotFoundError(StacksortError):
 
 
 class SizeLimitExceededError(StacksortError):
-    """Brute-force enumeration was asked to exceed its configured bound."""
+    """A size is over its limit: brute force, a sweep, or the digits of a cached value."""
 
 
 class HypothesisViolatedError(StacksortError):

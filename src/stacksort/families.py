@@ -16,8 +16,7 @@ a decision procedure, and a report without a witness proves nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidArgumentError, VerificationFailedError
 from .hooks import fertility
@@ -39,8 +38,6 @@ def even_witness(m: int) -> Perm:
 
 def one_mod4_witness(m: int) -> Perm:
     """A new minimum in front of :func:`even_witness`; fertility 4m + 1."""
-    if m < 1:
-        raise InvalidArgumentError("m must be positive")
     return direct_sum((1,), even_witness(m))
 
 
@@ -77,8 +74,7 @@ def product_witness(a: Sequence[int], b: Sequence[int]) -> Perm:
     return direct_sum(drop_final_max(a), bracket(b))
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Outcome of a witness construction for one target fertility."""
 
     target_fertility: int

@@ -13,7 +13,6 @@ kernel call and no visit to a word that has no preimage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -37,8 +36,7 @@ VERDICT_PROVEN_INFERTILE = "proven-infertile"
 SWEEP_LIMIT = 11
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Fertility values attained in S_n, with one witness per value."""
 
     n: int
@@ -46,8 +44,7 @@ class SpectrumReport:
     witnesses: dict[int, Perm]  # value -> lexicographically least witness
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     """Verdict for one fertility target."""
 
     f: int

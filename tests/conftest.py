@@ -7,7 +7,9 @@ engine.
 """
 from __future__ import annotations
 
+import faulthandler
 import itertools
+import os
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -91,6 +93,34 @@ def naive_point_colors(p, config):
                 best, best_v = t, p[h.ne - 1]
         colors.append(best)
     return tuple(colors)
+
+
+#: Seconds one test may run before the run is stopped with every thread's
+#: traceback; the slowest test takes under 2 s.
+TEST_TIME_LIMIT = 120
+
+_STDERR = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # During a test, sys.stderr and even fd 2 feed pytest's capture, which a
+    # process killed by the watchdog never prints; keep a copy of the real one.
+    config.stash[_STDERR] = os.fdopen(os.dup(2), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_STDERR].close()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Turn a test that hangs into a failed run: past TEST_TIME_LIMIT the
+    tracebacks go to stderr and the process exits with status 1. A hook, not
+    an autouse fixture, so that the setup of shared fixtures is bounded too."""
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True,
+                                      file=item.config.stash[_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

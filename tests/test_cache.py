@@ -14,13 +14,14 @@ import stacksort
 from stacksort import (
     CacheRecord,
     CorruptRecordError,
+    SizeLimitExceededError,
     append_records,
     audit,
     cache_key,
     load,
     read_records,
 )
-from stacksort.cache import _parse_line
+from stacksort.cache import _parse_line, record_line
 from stacksort.perms import is_normalized
 
 
@@ -274,3 +275,43 @@ def test_two_processes_append_at_once(tmp_path):
     records = read_records(path)
     assert sorted((r.perm, r.fertility) for r in records) == sorted(
         (key, i) for key in keys for i in range(300))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-decimal digit limit")
+class TestValueAboveTheDigitLimit:
+    """A valid record whose value has more digits than the interpreter's
+    default limit of 4,300 is not corrupt: reads and appends refuse it with
+    SizeLimitExceededError and leave the file as it is."""
+
+    def write(self, path, end):
+        sys.set_int_max_str_digits(0)
+        big = CacheRecord(" ".join(map(str, range(1, 7201))), 10 ** 4328)
+        path.write_text(GOOD + record_line(big) + end)
+        sys.set_int_max_str_digits(4300)  # CPython's default; conftest restores the old one
+        return path.read_bytes()
+
+    def test_terminated_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        self.write(path, "\n")
+        with pytest.raises(SizeLimitExceededError,
+                           match=r"^line 3: 4329 digits .*set_int_max_str_digits\(0\)"):
+            load(path)
+
+    def test_unterminated_last_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        before = self.write(path, "")
+        with pytest.raises(SizeLimitExceededError, match="^line 3: "):
+            load(path)
+        with pytest.raises(SizeLimitExceededError, match="^line 3: "):
+            append_records(path, [CacheRecord("1 2 3", 5)])
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("line", [
+        '{"perm":"1","fertility":"0%s"}', '{"perm":"1","fertility":"-%s"}',
+        '{"perm":"1","fertility":"1_%s"}', '{"perm":"1","fertility":%s}', '{"fertility":"%s"}'])
+    def test_a_long_bad_value_is_still_corrupt(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(line % ("1" * 5000) + "\n")
+        with pytest.raises(CorruptRecordError, match="^line 1: "):
+            load(path)

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import stacksort
 from stacksort import cache as cache_mod
 from stacksort import cli
 from stacksort import InvalidArgumentError, StacksortError, fertility, search, spectrum
@@ -25,6 +28,16 @@ def load_calls(monkeypatch):
     real_load = cache_mod.load
     monkeypatch.setattr(cache_mod, "load", lambda p: calls.append(p) or real_load(p))
     return calls
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # every command pays for the modules that importing the CLI loads
+    src = os.path.dirname(os.path.dirname(stacksort.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, stacksort.cli; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestSort:

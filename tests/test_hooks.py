@@ -54,6 +54,14 @@ def images(lo, hi):
         lambda n: st.permutations(range(1, n + 1))).map(lambda w: stack_sort(tuple(w)))
 
 
+def naive_next_greater(w):
+    """For each 1-based column, the first column to its right with a larger
+    entry, or len(w) + 1."""
+    n = len(w)
+    return [next((j for j in range(c + 1, n + 1) if w[j - 1] > w[c - 1]), n + 1)
+            for c in range(1, n + 1)]
+
+
 class TestEnumeration:
     def test_six_configurations_in_canonical_order(self):
         configs = enumerate_vhc(P27)
@@ -88,6 +96,14 @@ class TestEnumeration:
         for n in range(8):
             for w in all_perms(n):
                 assert list(iter_vhc(w)) == naive_vhc(w), w
+
+    def test_next_greater_chain_matches_naive(self):
+        # iter_vhc walks this chain for hook ends: a wrong link skips hooks or never ends
+        rng = random.Random(10)
+        words = [w for n in range(1, 8) for w in all_perms(n)]
+        words += [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(10, 61)]
+        for w in words:
+            assert hooks._interval_rows(w)[1][1:] == naive_next_greater(w), w
 
     @settings(max_examples=25, deadline=None)
     @given(images(10, 12))

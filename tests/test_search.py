@@ -291,3 +291,18 @@ class TestSmallOddStatus:
         assert small_odd_status(7) is False
         assert witness(27).witness is not None
         assert small_odd_status(27) is True
+
+
+def test_reports_are_immutable_records():
+    assert repr(classify(3, 4)) == (
+        "ClassifyResult(f=3, verdict='proven-infertile', witness=None, searched_n=4)")
+    assert repr(witness(27)) == (
+        "WitnessReport(target_fertility=27, witness=(3, 1, 4, 2, 5, 6, 7), method='interleaved')")
+    assert repr(spectrum(3)) == (
+        "SpectrumReport(n=3, achieved=frozenset({1, 5}), witnesses={1: (2, 1, 3), 5: (1, 2, 3)})")
+    for make, field in ((lambda: classify(3, 4), "verdict"), (lambda: witness(27), "method"),
+                        (lambda: spectrum(3), "n")):
+        report = make()
+        assert report == make()
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
