@@ -53,27 +53,27 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
 
     n tokens that are, as a set, the n texts "1" .. str(n) are exactly such a
     key: no duplicate, zero, sign, leading zero or stray space gets through.
-    A value is such text when ``str`` of its ``int`` gives it back.
+    Such a value is a JSON string of ASCII digits with no leading zero unless
+    it is "0". A canonical value with more digits than the interpreter's
+    limit is a :class:`SizeLimitExceededError`.
     """
     try:
         obj = json.loads(line)
         text, digits = obj["perm"], obj["fertility"]
-        try:
-            value = int(digits)
-        except ValueError:  # canonical text fails only on the interpreter's digit limit
-            if type(digits) is str and digits.isascii() and digits.isdigit() and digits[0] != "0":
-                raise SizeLimitExceededError(f"line {lineno}: {len(digits)} digits exceed the "
-                                             "limit; call sys.set_int_max_str_digits(0)") from None
-            raise
         if not isinstance(text, str):
             raise TypeError(f"perm is {type(text).__name__}, not text")
-        if str(value) != digits:
-            raise ValueError(f"fertility {digits!r} is not canonical decimal text")
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CorruptRecordError(f"line {lineno}: {exc}") from None
     tokens = text.split(" ") if text else ()
-    if value < 0 or set(tokens) != _alphabet(len(tokens)):
+    if (set(tokens) != _alphabet(len(tokens)) or type(digits) is not str
+            or not (digits.isascii() and digits.isdigit())
+            or (digits[0] == "0" and digits != "0")):
         raise CorruptRecordError(f"line {lineno}: non-canonical record {line!r}")
+    try:
+        value = int(digits)
+    except ValueError:  # canonical text fails only on the interpreter's digit limit
+        raise SizeLimitExceededError(f"line {lineno}: {len(digits)} digits exceed the "
+                                     "limit; call sys.set_int_max_str_digits(0)") from None
     return CacheRecord(text, value)
 
 
@@ -136,11 +136,10 @@ def load(path: str | os.PathLike) -> dict[str, int]:
     """
     table: dict[str, int] = {}
     for record in read_records(path):
-        old = table.get(record.perm)
-        if old is not None and old != record.fertility:
+        old = table.setdefault(record.perm, record.fertility)
+        if old != record.fertility:
             raise CorruptRecordError(
                 f"conflicting values for {record.perm!r}: {old} and {record.fertility}")
-        table[record.perm] = record.fertility
     return table
 
 

@@ -20,10 +20,6 @@ def _canon(p: Perm) -> str:
     return perm_text(p, compact=False)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj))
-
-
 def _load_cache(path: str | None) -> dict[str, int]:
     return cache_mod.load(path) if path else {}
 
@@ -44,7 +40,7 @@ def _cmd_sort(args) -> int:
     p = parse_permutation(" ".join(args.perm))
     out = stack_sort(p)
     if args.json:
-        _emit_json({"perm": _canon(p), "sorted": _canon(out)})
+        print(json.dumps({"perm": _canon(p), "sorted": _canon(out)}))
     else:
         print(perm_text(out))
     return 0
@@ -52,46 +48,44 @@ def _cmd_sort(args) -> int:
 
 def _cmd_fertility(args) -> int:
     p = parse_permutation(" ".join(args.perm))
-    values: dict[str, int | None] = {}
-    if args.method in ("vhc", "both"):
+    vhc = brute = None
+    if args.method != "brute":
         table = _load_cache(args.cache)
-        cached = table.get(cache_mod.cache_key(p)) if args.early_exit is None else None
-        values["vhc"] = cached if cached is not None else fertility(p, early_exit=args.early_exit)
-        if cached is None and values["vhc"] is not None:
-            _store_cache(args.cache, {p: values["vhc"]}, table)
-    if args.method in ("brute", "both"):
-        values["brute"] = fertility_brute(p, limit=args.max_n)
-    exceeded = "vhc" in values and values["vhc"] is None
-    agree = not exceeded and len(set(values.values())) == 1
-    reported = values.get("vhc") if args.method != "brute" else values["brute"]
+        vhc = table.get(cache_mod.cache_key(p)) if args.early_exit is None else None
+        if vhc is None:
+            vhc = fertility(p, early_exit=args.early_exit)
+            if vhc is not None:
+                _store_cache(args.cache, {p: vhc}, table)
+    if args.method != "vhc":
+        brute = fertility_brute(p, limit=args.max_n)
+    exceeded = args.method != "brute" and vhc is None
+    reported = brute if args.method == "brute" else vhc
+    disagree = args.method == "both" and not exceeded and vhc != brute
     if args.json:
         obj = {"perm": _canon(p),
                "fertility": None if exceeded else str(reported),
                "method": args.method}
         if exceeded:
             obj["exceeded"] = True
-        _emit_json(obj)
+        print(json.dumps(obj))
+    elif args.method == "both":
+        print(f"vhc {'exceeded' if exceeded else vhc}")
+        print(f"brute {brute}")
+        if not exceeded:
+            print("disagree" if disagree else "agree")
+    elif exceeded:
+        print(f"exceeded {args.early_exit}")
     else:
-        if args.method == "both":
-            print(f"vhc {'exceeded' if exceeded else values['vhc']}")
-            print(f"brute {values['brute']}")
-            if not exceeded:
-                print("agree" if agree else "disagree")
-        elif exceeded:
-            print(f"exceeded {args.early_exit}")
-        else:
-            print(reported)
-    if args.method == "both" and not exceeded and not agree:
-        return 1
-    return 0
+        print(reported)
+    return 1 if disagree else 0
 
 
 def _cmd_preimages(args) -> int:
     p = parse_permutation(" ".join(args.perm))
     members = sorted(preimages(p, limit=args.max_n))
     if args.json:
-        _emit_json({"perm": _canon(p), "count": len(members),
-                    "preimages": [_canon(w) for w in members]})
+        print(json.dumps({"perm": _canon(p), "count": len(members),
+                          "preimages": [_canon(w) for w in members]}))
     else:
         for w in members:
             print(perm_text(w))
@@ -103,15 +97,16 @@ def _cmd_vhc(args) -> int:
     configs = enumerate_vhc(p)
     comps = [induced_composition(p, c) for c in configs]
     if args.svg_out:
+        docs = svg.render_svg(p, "all")  # raises before the directory exists
         os.makedirs(args.svg_out, exist_ok=True)
         stem = "-".join(str(x) for x in p) or "empty"
-        for ordinal, doc in enumerate(svg.render_svg(p, "all"), start=1):
+        for ordinal, doc in enumerate(docs, start=1):
             with open(os.path.join(args.svg_out, f"{stem}-vhc-{ordinal:03d}.svg"),
                       "w", encoding="utf-8") as fh:
                 fh.write(doc)
     if args.json:
-        _emit_json({"perm": _canon(p), "count": len(configs),
-                    "compositions": [list(q) for q in comps]})
+        print(json.dumps({"perm": _canon(p), "count": len(configs),
+                          "compositions": [list(q) for q in comps]}))
     else:
         print(f"count {len(configs)}")
         for ordinal, (config, q) in enumerate(zip(configs, comps), start=1):
@@ -133,8 +128,8 @@ def _cmd_spectrum(args) -> int:
     _store_cache(args.cache, {w: v for v, w in report.witnesses.items()},
                  _load_cache(args.cache))
     if args.json:
-        _emit_json({"n": report.n, "achieved": [str(v) for v in values],
-                    "witnesses": {str(v): _canon(report.witnesses[v]) for v in values}})
+        print(json.dumps({"n": report.n, "achieved": [str(v) for v in values],
+                          "witnesses": {str(v): _canon(report.witnesses[v]) for v in values}}))
     else:
         print(f"n {report.n}")
         print("achieved " + " ".join(str(v) for v in values))
@@ -152,7 +147,7 @@ def _cmd_classify(args) -> int:
         obj = {"f": str(result.f), "verdict": result.verdict, "searched_n": result.searched_n}
         if result.witness is not None:
             obj["witness"] = _canon(result.witness)
-        _emit_json(obj)
+        print(json.dumps(obj))
     else:
         print(f"f {result.f}")
         print(f"verdict {result.verdict}")
@@ -167,7 +162,7 @@ def _cmd_construct(args) -> int:
     if args.json:
         obj = {"f": str(report.target_fertility), "method": report.method,
                "witness": _canon(report.witness) if report.witness is not None else None}
-        _emit_json(obj)
+        print(json.dumps(obj))
     else:
         print(f"f {report.target_fertility}")
         print(f"method {report.method}")
@@ -179,7 +174,7 @@ def _cmd_construct(args) -> int:
 def _cmd_density(args) -> int:
     count, ratio = search.density_lower_bound(args.n)
     if args.json:
-        _emit_json({"n": args.n, "count": str(count), "ratio": f"{ratio}"})
+        print(json.dumps({"n": args.n, "count": str(count), "ratio": f"{ratio}"}))
     else:
         print(f"count {count}")
         print(f"ratio {ratio}")
@@ -197,13 +192,8 @@ def _random_matrix(rng: random.Random, max_dim: int, max_entry: int) -> list[lis
 
 
 def _cmd_bound_check(args) -> int:
+    p = parse_permutation(args.perm) if args.perm else None
     matrices: list[list[list[int]]] = []
-    if args.perm:
-        p = parse_permutation(args.perm)
-        comps = sorted(valid_compositions(p))
-        if not comps:
-            raise StacksortError(f"{perm_text(p)} is unsorted: empty composition matrix")
-        matrices.append([list(q) for q in comps])
     for row_text in args.rows or []:
         try:
             matrices.append([[int(x) for x in row.split(",")] for row in row_text.split(";")])
@@ -215,6 +205,11 @@ def _cmd_bound_check(args) -> int:
         rng = random.Random(args.seed)
         matrices.extend(_random_matrix(rng, args.max_dim, args.max_entry)
                         for _ in range(args.random))
+    if p is not None:  # enumerated only once the other inputs are valid, listed first
+        comps = sorted(valid_compositions(p))
+        if not comps:
+            raise StacksortError(f"{perm_text(p)} is unsorted: empty composition matrix")
+        matrices.insert(0, [list(q) for q in comps])
     if not matrices:
         raise StacksortError("nothing to check: give a matrix, --perm or --random")
     failures = []
@@ -222,8 +217,8 @@ def _cmd_bound_check(args) -> int:
         if not search.matrix_bound_holds(m):
             failures.append(m)
     if args.json:
-        _emit_json({"checked": len(matrices), "all_hold": not failures,
-                    "failures": failures})
+        print(json.dumps({"checked": len(matrices), "all_hold": not failures,
+                          "failures": failures}))
     else:
         print(f"checked {len(matrices)}")
         if failures:

@@ -90,15 +90,12 @@ def _verified(f: int, perm: Perm, method: str) -> WitnessReport:
 
 
 def _seed_witnesses(limit: int) -> list[tuple[int, str, Perm]]:
-    """Known fertilities congruent to 3 mod 4, ascending, up to ``limit``."""
-    seeds = []
-    if limit >= 27:
-        seeds.append((27, "interleaved", interleaved_witness(2)))
-    if limit >= 95:
-        seeds.append((95, "base-case", _WITNESS_95))
-    m = 6
-    while interleaved_fertility(m) <= limit:
-        seeds.append((interleaved_fertility(m), "interleaved", interleaved_witness(m)))
+    """Known fertilities congruent to 3 mod 4, ascending, up to ``limit``: the
+    base case 95 and the interleaved values at m = 2, 6, 10, ... (27, 119, 275, ...)."""
+    seeds = [(95, "base-case", _WITNESS_95)] if limit >= 95 else []
+    m = 2
+    while (value := interleaved_fertility(m)) <= limit:
+        seeds.append((value, "interleaved", interleaved_witness(m)))
         m += 4
     seeds.sort()
     return seeds

@@ -309,7 +309,8 @@ class TestValueAboveTheDigitLimit:
 
     @pytest.mark.parametrize("line", [
         '{"perm":"1","fertility":"0%s"}', '{"perm":"1","fertility":"-%s"}',
-        '{"perm":"1","fertility":"1_%s"}', '{"perm":"1","fertility":%s}', '{"fertility":"%s"}'])
+        '{"perm":"1","fertility":"1_%s"}', '{"perm":"1","fertility":%s}', '{"fertility":"%s"}',
+        '{"perm":"1 1","fertility":"%s"}'])
     def test_a_long_bad_value_is_still_corrupt(self, tmp_path, line):
         path = tmp_path / "cache.jsonl"
         path.write_text(line % ("1" * 5000) + "\n")

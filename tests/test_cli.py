@@ -83,6 +83,45 @@ class TestFertility:
         obj = json.loads(out)
         assert obj["fertility"] is None and obj["exceeded"] is True
 
+    @pytest.mark.parametrize("extra", [(), ("--early-exit", "20")])
+    def test_brute(self, capsys, extra):
+        # brute ignores --early-exit
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "brute", *extra)
+        assert code == 0 and out == "27\n"
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "brute", *extra, "--json")
+        assert code == 0 and out == ('{"perm": "3 1 4 2 5 6 7", "fertility": "27", '
+                                     '"method": "brute"}\n')
+
+    def test_both_exceeded(self, capsys):
+        # no agree line once vhc stopped early, and no failure either
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "both",
+                           "--early-exit", "20")
+        assert code == 0 and out == "vhc exceeded\nbrute 27\n"
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "both",
+                           "--early-exit", "20", "--json")
+        assert code == 0 and out == ('{"perm": "3 1 4 2 5 6 7", "fertility": null, '
+                                     '"method": "both", "exceeded": true}\n')
+
+    def test_early_exit_never_reads_the_cache(self, capsys, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache_mod.append_records(path, [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)])
+        code, out, _ = run(capsys, "fertility", P27_TEXT, "--early-exit", "20",
+                           "--cache", str(path))
+        assert code == 0 and out == "exceeded 20\n"
+        assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
+
+    def test_early_exit_appends_a_computed_value_once(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        calls = []
+        monkeypatch.setattr(cli, "fertility",
+                            lambda p, early_exit: calls.append(p) or fertility(p, early_exit))
+        for _ in range(2):
+            code, out, _ = run(capsys, "fertility", P27_TEXT, "--early-exit", "30",
+                               "--cache", str(path))
+            assert code == 0 and out == "27\n"
+        assert len(calls) == 2  # the second run computes again despite the record
+        assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
+
     def test_matches_library(self, capsys):
         for text in ("1", "12", "4162", "3142567"):
             _, out, _ = run(capsys, "fertility", text)
@@ -209,6 +248,12 @@ class TestVhc:
         assert files[0].name == "3-1-4-2-5-6-7-vhc-001.svg"
         assert files[0].read_text().startswith("<svg ")
 
+    def test_svg_out_without_configurations_leaves_no_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "figs"
+        code, out, err = run(capsys, "vhc", "21", "--svg-out", str(out_dir))
+        assert code == 1 and out == "" and err == "error: no hook configuration to render\n"
+        assert not out_dir.exists()
+
 
 class TestSpectrum:
     def test_json(self, capsys):
@@ -283,6 +328,11 @@ class TestConstruct:
         _, out, _ = run(capsys, "construct", "95")
         assert out == "f 95\nmethod base-case\nwitness 1243567\n"
 
+    def test_a_seed_is_matched_before_products(self, capsys):
+        # 1539 is interleaved_fertility(26) and also 27 * 57
+        _, out, _ = run(capsys, "construct", "1539", "--json")
+        assert json.loads(out)["method"] == "interleaved"
+
     def test_none(self, capsys):
         _, out, _ = run(capsys, "construct", "7", "--json")
         assert json.loads(out) == {"f": "7", "method": "none", "witness": None}
@@ -303,9 +353,29 @@ class TestBoundCheck:
         code, out, _ = run(capsys, "bound-check", "1,2;2,1")
         assert code == 0 and out == "checked 1\nall hold\n"
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "bound-check", "1,2;2,1", "--json")
+        assert code == 0 and out == '{"checked": 1, "all_hold": true, "failures": []}\n'
+
+    def test_violated_exits_1(self, capsys, monkeypatch):
+        # no real matrix violates the bound
+        monkeypatch.setattr(search, "matrix_bound_holds", lambda m: False)
+        code, out, _ = run(capsys, "bound-check", "1,2;2,1")
+        assert code == 1 and out == "checked 1\nviolated [[1, 2], [2, 1]]\n"
+        code, out, _ = run(capsys, "bound-check", "1,2;2,1", "--json")
+        assert code == 1 and json.loads(out) == {
+            "checked": 1, "all_hold": False, "failures": [[[1, 2], [2, 1]]]}
+
     def test_perm_matrix(self, capsys):
         code, out, _ = run(capsys, "bound-check", "--perm", P27_TEXT)
         assert code == 0 and out == "checked 1\nall hold\n"
+
+    @pytest.mark.parametrize("argv", [("1,x",), ("--random", "1", "--max-dim", "0")])
+    def test_bad_input_is_rejected_before_the_perm_matrix(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "valid_compositions",
+                            lambda p: pytest.fail("enumerated before validating"))
+        code, out, err = run(capsys, "bound-check", "--perm", P27_TEXT, *argv)
+        assert code == 1 and out == "" and err.startswith("error: ")
 
     def test_random(self, capsys):
         code, out, _ = run(capsys, "bound-check", "--random", "50", "--seed", "7")

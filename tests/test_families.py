@@ -3,6 +3,7 @@ import math
 import pytest
 
 from stacksort import (
+    InvalidArgumentError,
     LastEntryNotMaxError,
     VerificationFailedError,
     bracket,
@@ -36,6 +37,8 @@ class TestEvenWitness:
     def test_m_must_be_positive(self):
         with pytest.raises(ValueError):
             even_witness(0)
+        with pytest.raises(InvalidArgumentError):
+            interleaved_witness(0)
 
 
 class TestOneMod4Witness:
