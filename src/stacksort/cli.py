@@ -51,14 +51,14 @@ def _cmd_fertility(args) -> int:
     vhc = brute = None
     if args.method != "brute":
         table = _load_cache(args.cache)
-        vhc = table.get(cache_mod.cache_key(p)) if args.early_exit is None else None
+        vhc = table.get(cache_mod.cache_key(p))
         if vhc is None:
-            vhc = fertility(p, early_exit=args.early_exit)
-            if vhc is not None:
-                _store_cache(args.cache, {p: vhc}, table)
+            vhc = fertility(p)
+            _store_cache(args.cache, {p: vhc}, table)
     if args.method != "vhc":
         brute = fertility_brute(p, limit=args.max_n)
-    exceeded = args.method != "brute" and vhc is None
+    # a zero count is never "exceeded", whatever F
+    exceeded = vhc is not None and args.early_exit is not None and vhc > max(args.early_exit, 0)
     reported = brute if args.method == "brute" else vhc
     disagree = args.method == "both" and not exceeded and vhc != brute
     if args.json:
@@ -97,7 +97,7 @@ def _cmd_vhc(args) -> int:
     configs = enumerate_vhc(p)
     comps = [induced_composition(p, c) for c in configs]
     if args.svg_out:
-        docs = svg.render_svg(p, "all")  # raises before the directory exists
+        docs = svg.render_svg(p, configs)  # raises before the directory exists
         os.makedirs(args.svg_out, exist_ok=True)
         stem = "-".join(str(x) for x in p) or "empty"
         for ordinal, doc in enumerate(docs, start=1):
@@ -116,8 +116,16 @@ def _cmd_vhc(args) -> int:
     return 0
 
 
+def _check_jobs(jobs: int) -> None:
+    # the sweeps run in this process, so --jobs is only validated
+    if jobs < 1:
+        raise InvalidArgumentError("jobs must be at least 1")
+
+
 def _cmd_spectrum(args) -> int:
-    report = search.spectrum(args.n, jobs=args.jobs)
+    _check_jobs(args.jobs)
+    table = _load_cache(args.cache)  # a bad cache fails before the sweep and the CSV
+    report = search.spectrum(args.n)
     values = sorted(report.achieved)
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
@@ -125,8 +133,7 @@ def _cmd_spectrum(args) -> int:
             writer.writerow(["value", "witness"])
             for v in values:
                 writer.writerow([v, _canon(report.witnesses[v])])
-    _store_cache(args.cache, {w: v for v, w in report.witnesses.items()},
-                 _load_cache(args.cache))
+    _store_cache(args.cache, {w: v for v, w in report.witnesses.items()}, table)
     if args.json:
         print(json.dumps({"n": report.n, "achieved": [str(v) for v in values],
                           "witnesses": {str(v): _canon(report.witnesses[v]) for v in values}}))
@@ -139,8 +146,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _check_jobs(args.jobs)
     table = _load_cache(args.cache)
-    result = search.classify(args.f, args.max_n, jobs=args.jobs, cache=table)
+    result = search.classify(args.f, args.max_n, cache=table)
     if result.witness is not None:
         _store_cache(args.cache, {result.witness: result.f}, table)
     if args.json:

@@ -209,12 +209,10 @@ def composition_weight(q: Sequence[int]) -> int:
     return math.prod(catalan(x) for x in q)
 
 
-def fertility(p: Sequence[int], early_exit: int | None = None) -> int | None:
+def fertility(p: Sequence[int]) -> int:
     """Number of stack-sorting preimages of ``p``, by the interval recursion.
 
-    An unsorted word has fertility 0. When ``early_exit`` is given, returns
-    ``None`` if the fertility exceeds it (an exact result equal to
-    ``early_exit`` is still returned, and so is a fertility of 0).
+    An unsorted word has fertility 0.
 
     >>> fertility((3, 1, 4, 2, 5, 6, 7))
     27
@@ -225,12 +223,8 @@ def fertility(p: Sequence[int], early_exit: int | None = None) -> int | None:
     if w and w[-1] != max(w):
         return 0
     if all(x < y for x, y in zip(w, w[1:])):
-        total = catalan(len(w))  # the empty word included
-    else:
-        total = _interval_rows(w)[0][len(w)].get(0, 0)
-    if total and early_exit is not None and total > early_exit:
-        return None
-    return total
+        return catalan(len(w))  # the empty word included
+    return _interval_rows(w)[0][len(w)].get(0, 0)
 
 
 def _interval_rows(w: Perm) -> tuple[list[dict[int, int]], list[int]]:

@@ -38,14 +38,14 @@ def fertility_brute(p: Sequence[int], limit: int = BRUTE_FORCE_LIMIT) -> int:
     return len(preimages(p, limit))
 
 
-def fertility_histogram(n: int, limit: int = BRUTE_FORCE_LIMIT) -> dict[int, int]:
+def fertility_histogram(n: int) -> dict[int, int]:
     """Map fertility value -> number of words in S_n attaining it.
 
     One pass applies the stack sort to every word of S_n and counts images;
     a second pass reads each word's count off that tally. Values weighted by
-    multiplicity always sum to n!.
+    multiplicity always sum to n!. Sizes past ``BRUTE_FORCE_LIMIT`` are refused.
     """
-    _check_size(n, limit)
+    _check_size(n, BRUTE_FORCE_LIMIT)
     universe = range(1, n + 1)
     images = Counter(stack_sort(w) for w in itertools.permutations(universe))
     hist = Counter(images.get(w, 0) for w in itertools.permutations(universe))

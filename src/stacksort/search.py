@@ -83,23 +83,21 @@ def _levels(n_max: int) -> Iterator[tuple[int, dict[Perm, int]]]:
         yield n, table
 
 
-def _check_sweep(n: int, jobs: int) -> None:
-    if jobs < 1:
-        raise InvalidArgumentError("jobs must be at least 1")
+def _check_sweep(n: int) -> None:
     if n > SWEEP_LIMIT:
         raise SizeLimitExceededError(f"a sweep of S_{n} exceeds the limit n <= {SWEEP_LIMIT}")
 
 
-def spectrum(n: int, jobs: int = 1) -> SpectrumReport:
+def spectrum(n: int) -> SpectrumReport:
     """Every positive fertility attained in S_n, read off the level tables.
 
-    Each witness is the lexicographically least word carrying its value.
-    ``jobs`` is validated (at least 1) but the sweep runs in this process:
-    shipping the tables to workers costs more than splitting them saves.
+    Each witness is the lexicographically least word carrying its value. The
+    sweep runs in this process: shipping the tables to workers costs more
+    than splitting them saves.
     """
     if n < 1:
         raise InvalidArgumentError("n must be positive")
-    _check_sweep(n, jobs)
+    _check_sweep(n)
     *_, (_, table) = _levels(n)
     witnesses: dict[int, Perm] = {}
     for w, value in table.items():
@@ -108,12 +106,7 @@ def spectrum(n: int, jobs: int = 1) -> SpectrumReport:
     return SpectrumReport(n, frozenset(witnesses), dict(sorted(witnesses.items())))
 
 
-def classify(
-    f: int,
-    n_max: int,
-    jobs: int = 1,
-    cache: Mapping[str, int] | None = None,
-) -> ClassifyResult:
+def classify(f: int, n_max: int, cache: Mapping[str, int] | None = None) -> ClassifyResult:
     """Decide whether ``f`` is a fertility value, searching up to length n_max.
 
     A cache of known fertilities, if given, is consulted first (entries are
@@ -123,13 +116,13 @@ def classify(
     its lexicographically least word as the witness. Scanning stops at
     min(n_max, f + 1): beyond f + 1 nothing new can appear, so exhausting
     that range proves infertility; exhausting a smaller range is only ever
-    "unknown". ``jobs`` is validated as in :func:`spectrum`.
+    "unknown". The scan length is checked against ``SWEEP_LIMIT`` only once
+    no shortcut applies.
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be positive")
     if f < 0:
         raise InvalidArgumentError("fertility targets are nonnegative")
-    _check_sweep(1, jobs)  # the scan length is checked once no shortcut applies
     if cache:
         for text, value in cache.items():
             if value == f:
@@ -140,7 +133,7 @@ def classify(
     if report.witness is not None:
         return ClassifyResult(f, VERDICT_FERTILE, report.witness, 0)
     bound = min(n_max, f + 1)  # f >= 1 here: 0 always has a witness above
-    _check_sweep(bound, jobs)
+    _check_sweep(bound)
     for n, table in _levels(bound):
         hit = min((w for w, value in table.items() if value == f), default=None)
         if hit is not None:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InvalidArgumentError, UnsortedPermutationError
-from .hooks import HookConfig, enumerate_vhc, point_colors
+from .errors import UnsortedPermutationError
+from .hooks import HookConfig, point_colors
 
 PITCH = 40
 POINT_RADIUS = 6
@@ -71,19 +71,13 @@ def _document(p: Sequence[int], config: HookConfig) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_svg(p: Sequence[int], which: int | str = "all") -> list[str]:
-    """SVG documents for the configurations of ``p``.
+def render_svg(p: Sequence[int], configs: Sequence[HookConfig]) -> list[str]:
+    """One SVG document per configuration in ``configs``, which must come
+    from :func:`~stacksort.hooks.iter_vhc` for ``p``.
 
-    ``which`` is either ``"all"`` or a 1-based ordinal into the canonical
-    configuration order. An unsorted word cannot be rendered.
+    An unsorted word has no configuration, and an empty ``configs`` cannot
+    be rendered.
     """
-    configs = enumerate_vhc(p)
     if not configs:
         raise UnsortedPermutationError("no hook configuration to render")
-    if which == "all":
-        return [_document(p, config) for config in configs]
-    ordinal = int(which)
-    if not 1 <= ordinal <= len(configs):
-        raise InvalidArgumentError(
-            f"configuration ordinal {ordinal} out of range 1..{len(configs)}")
-    return [_document(p, configs[ordinal - 1])]
+    return [_document(p, config) for config in configs]

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,9 +8,9 @@ import pytest
 
 import stacksort
 from stacksort import cache as cache_mod
-from stacksort import cli
+from stacksort import cli, hooks
 from stacksort import InvalidArgumentError, StacksortError, fertility, search, spectrum
-from stacksort import catalan, even_witness, parse_permutation, render_svg, witness
+from stacksort import catalan, even_witness, parse_permutation, witness
 from stacksort.cli import main
 
 P27_TEXT = "3142567"
@@ -19,6 +20,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def raise_on_start(self):
+    raise AssertionError("a worker process started")
 
 
 @pytest.fixture
@@ -83,6 +88,14 @@ class TestFertility:
         obj = json.loads(out)
         assert obj["fertility"] is None and obj["exceeded"] is True
 
+    @pytest.mark.parametrize("word, cap, out", [
+        (P27_TEXT, "26", "exceeded 26"), (P27_TEXT, "27", "27"), (P27_TEXT, "-1", "exceeded -1"),
+        ("21", "-1", "0"), ("", "0", "exceeded 0")])
+    def test_early_exit_boundary(self, capsys, word, cap, out):
+        # exceeded means a count above max(F, 0): a zero count never is
+        code, printed, _ = run(capsys, "fertility", word, "--early-exit", cap)
+        assert code == 0 and printed == out + "\n"
+
     @pytest.mark.parametrize("extra", [(), ("--early-exit", "20")])
     def test_brute(self, capsys, extra):
         # brute ignores --early-exit
@@ -103,6 +116,8 @@ class TestFertility:
                                      '"method": "both", "exceeded": true}\n')
 
     def test_early_exit_never_reads_the_cache(self, capsys, tmp_path):
+        # the name predates the one cache path: --early-exit now reads the
+        # record, and an exceeded run leaves a file that holds the word as it was
         path = tmp_path / "cache.jsonl"
         cache_mod.append_records(path, [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)])
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--early-exit", "20",
@@ -113,14 +128,14 @@ class TestFertility:
     def test_early_exit_appends_a_computed_value_once(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
         calls = []
-        monkeypatch.setattr(cli, "fertility",
-                            lambda p, early_exit: calls.append(p) or fertility(p, early_exit))
-        for _ in range(2):
-            code, out, _ = run(capsys, "fertility", P27_TEXT, "--early-exit", "30",
-                               "--cache", str(path))
-            assert code == 0 and out == "27\n"
-        assert len(calls) == 2  # the second run computes again despite the record
-        assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
+        monkeypatch.setattr(cli, "fertility", lambda p: calls.append(p) or fertility(p))
+        # the exact value is stored even when the run reports it exceeded
+        for cap, out in (("20", "exceeded 20\n"), ("30", "27\n")):
+            code, printed, _ = run(capsys, "fertility", P27_TEXT, "--early-exit", cap,
+                                   "--cache", str(path))
+            assert code == 0 and printed == out
+            assert cache_mod.read_records(path) == [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)]
+        assert len(calls) == 1  # the second run is served from the record
 
     def test_matches_library(self, capsys):
         for text in ("1", "12", "4162", "3142567"):
@@ -248,6 +263,13 @@ class TestVhc:
         assert files[0].name == "3-1-4-2-5-6-7-vhc-001.svg"
         assert files[0].read_text().startswith("<svg ")
 
+    def test_svg_out_enumerates_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = hooks.iter_vhc
+        monkeypatch.setattr(hooks, "iter_vhc", lambda p: calls.append(p) or real(p))
+        code, _, _ = run(capsys, "vhc", P27_TEXT, "--svg-out", str(tmp_path / "figs"))
+        assert code == 0 and len(calls) == 1
+
     def test_svg_out_without_configurations_leaves_no_directory(self, capsys, tmp_path):
         out_dir = tmp_path / "figs"
         code, out, err = run(capsys, "vhc", "21", "--svg-out", str(out_dir))
@@ -275,6 +297,31 @@ class TestSpectrum:
     def test_matches_library(self, capsys):
         _, out, _ = run(capsys, "spectrum", "4", "--json")
         assert {int(v) for v in json.loads(out)["achieved"]} == set(spectrum(4).achieved)
+
+    def test_parallel_matches_sequential(self, capsys):
+        for n in ("1", "2", "5"):
+            assert run(capsys, "spectrum", n, "--jobs", "2") == run(capsys, "spectrum", n)
+
+    def test_jobs_start_no_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", raise_on_start)
+        assert run(capsys, "spectrum", "5", "--jobs", "10000") == run(capsys, "spectrum", "5")
+        code, out, _ = run(capsys, "classify", "123", "--max-n", "7", "--jobs", "3")
+        assert code == 0 and "witness 1324567\n" in out
+
+    @pytest.mark.parametrize("argv", [("3",), ("0",), ("12",)])
+    def test_bad_jobs(self, capsys, argv):
+        # the jobs fault is reported before any other
+        code, out, err = run(capsys, "spectrum", *argv, "--jobs", "0")
+        assert (code, out, err) == (1, "", "error: jobs must be at least 1\n")
+
+    def test_bad_cache_fails_before_the_csv(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"perm":"1 1","fertility":"1"}\n')
+        csv_path = tmp_path / "spec.csv"
+        code, out, err = run(capsys, "spectrum", "4", "--csv", str(csv_path),
+                             "--cache", str(bad))
+        assert code == 1 and out == "" and err.startswith("error: line 1: non-canonical record")
+        assert not csv_path.exists()
 
 
 class TestClassify:
@@ -314,8 +361,15 @@ class TestClassify:
         assert code == 1 and out == "" and "limit" in err
 
     def test_bad_jobs_is_a_domain_error(self, capsys):
-        code, out, err = run(capsys, "classify", "3", "--max-n", "4", "--jobs", "0")
-        assert code == 1 and out == "" and "error:" in err
+        # rejected even when a construction applies, and before other faults
+        for argv in (("3", "--max-n", "4", "--jobs", "0"), ("2", "--max-n", "5", "--jobs", "-1"),
+                     ("0", "--max-n", "0", "--jobs", "0")):
+            code, out, err = run(capsys, "classify", *argv)
+            assert (code, out, err) == (1, "", "error: jobs must be at least 1\n"), argv
+
+    def test_parallel_matches_sequential(self, capsys):
+        assert run(capsys, "classify", "3", "--max-n", "4", "--jobs", "2") == \
+            run(capsys, "classify", "3", "--max-n", "4")
 
     def test_max_n_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -409,8 +463,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("call", [
         lambda: parse_permutation("1.5 2"), lambda: catalan(-1), lambda: even_witness(0),
-        lambda: witness(-1), lambda: spectrum(0), lambda: search.classify(3, 4, jobs=0),
-        lambda: render_svg((1, 2), 9)])
+        lambda: witness(-1), lambda: spectrum(0), lambda: search.classify(3, 0),
+        lambda: search.nd_fd([])])
     def test_validation_errors_are_domain_errors(self, call):
         with pytest.raises(InvalidArgumentError) as exc:
             call()

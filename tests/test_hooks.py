@@ -184,11 +184,6 @@ class TestFertility:
         assert fertility((1, 2, 3)) == 5
         assert fertility((2, 1)) == 0
 
-    def test_early_exit(self):
-        assert fertility(P27, early_exit=26) is None
-        assert fertility(P27, early_exit=27) == 27
-        assert fertility((2, 1), early_exit=0) == 0
-
     def test_matches_brute_force_exhaustively(self, tables7):
         for n, table in tables7.items():
             images = image_counts(n)
@@ -233,14 +228,9 @@ class TestIntervalKernel:
     """The interval recursion against the hook-weight sum and closed forms."""
 
     def test_matches_hook_weight_sum_through_s8(self):
-        for n in range(9):  # n = 0: fertility((), early_exit=0) is None
+        for n in range(9):
             for w, (_, comps) in vhc_table(n).items():
-                want = table_fertility(comps)
-                assert fertility(w) == want, w
-                for cap in (-1, 0, 1, 5, 27):
-                    # a zero count is returned whatever the cap
-                    expect = None if want and want > cap else want
-                    assert fertility(w, early_exit=cap) == expect, (w, cap)
+                assert fertility(w) == table_fertility(comps), w
 
     @settings(max_examples=25, deadline=None)
     @given(images(10, 30))

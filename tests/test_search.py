@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import random
 from fractions import Fraction
 
@@ -15,8 +14,10 @@ from stacksort import (
     HypothesisViolatedError,
     SizeLimitExceededError,
     VerificationFailedError,
+    catalan,
     classify,
     density_lower_bound,
+    descents,
     fertility,
     fertility_histogram,
     matrix_bound_holds,
@@ -34,10 +35,6 @@ from conftest import image_counts, vhc_table
 def levels():
     """n -> level table of S_n, for n = 1 .. 10."""
     return dict(search._levels(10))
-
-
-def raise_on_start(self):
-    raise AssertionError("a worker process started")
 
 
 class TestLevels:
@@ -59,6 +56,28 @@ class TestLevels:
             spectrum(4)
         with pytest.raises(VerificationFailedError):
             classify(3, 4)
+
+    def test_uniquely_sorted_words(self, levels):
+        # Lassalle's sequence (OEIS A180874); Defant, "Catalan intervals and
+        # uniquely sorted permutations" (JCTA 2020): a sorted word has
+        # fertility 1 exactly when it has (n - 1) / 2 descents, and no sorted
+        # word has more.
+        counts = []
+        for n, table in levels.items():
+            ones = 0
+            for w, value in table.items():
+                k = len(descents(w))
+                assert 2 * k <= n - 1, w
+                assert (value == 1) == (2 * k == n - 1), w
+                ones += value == 1
+            counts.append(ones)
+        assert counts == [1, 0, 1, 0, 5, 0, 56, 0, 1092, 0]
+
+    def test_only_the_identity_attains_catalan(self, levels):
+        for n, table in levels.items():
+            top = max(table.values())
+            assert top == catalan(n)
+            assert [w for w, value in table.items() if value == top] == [tuple(range(1, n + 1))]
 
 
 class TestSpectrum:
@@ -84,19 +103,6 @@ class TestSpectrum:
                 least.setdefault(fertility(w), w)
             least.pop(0, None)
             assert spectrum(n).witnesses == least
-
-    def test_parallel_matches_sequential(self):
-        for n in (1, 2, 5):
-            assert spectrum(n, jobs=2) == spectrum(n, jobs=1)
-
-    def test_jobs_start_no_process(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", raise_on_start)
-        assert spectrum(5, jobs=10000) == spectrum(5)
-        assert classify(123, 7, jobs=3).witness == (1, 3, 2, 4, 5, 6, 7)
-
-    def test_bad_jobs(self):
-        with pytest.raises(ValueError):
-            spectrum(3, jobs=0)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceededError):
@@ -159,24 +165,21 @@ class TestClassify:
         result = classify(3, 4, cache={"2 1 3": 1, "3 1 4 2 5 6 7": 27})
         assert result.verdict == VERDICT_PROVEN_INFERTILE
 
-    def test_parallel_matches_sequential(self):
-        assert classify(3, 4, jobs=2) == classify(3, 4, jobs=1)
-
     def test_scan_hit(self):
         # 123 has no construction; S_7 is the first length attaining it
         assert witness(123).witness is None
-        for jobs in (1, 2):
-            result = classify(123, 7, jobs=jobs)
-            assert result == classify(123, 9, jobs=jobs)
-            assert result.verdict == VERDICT_FERTILE
-            assert result.searched_n == 7
-            assert result.witness == (1, 3, 2, 4, 5, 6, 7) == spectrum(7).witnesses[123]
+        result = classify(123, 7)
+        assert result == classify(123, 9)
+        assert result.verdict == VERDICT_FERTILE
+        assert result.searched_n == 7
+        assert result.witness == (1, 3, 2, 4, 5, 6, 7) == spectrum(7).witnesses[123]
 
     def test_bad_jobs(self):
-        with pytest.raises(ValueError):
-            classify(3, 4, jobs=0)
-        with pytest.raises(ValueError):
-            classify(2, 5, jobs=-1)  # rejected even when a construction applies
+        # classify takes no jobs, even where a construction applies; the CLI
+        # validates --jobs itself
+        for f, n_max, jobs in ((3, 4, 0), (2, 5, -1)):
+            with pytest.raises(TypeError):
+                classify(f, n_max, jobs=jobs)
 
     def test_size_limit_checked_before_the_scan(self, monkeypatch):
         assert classify(3, 20).verdict == VERDICT_PROVEN_INFERTILE  # bound f + 1 = 4
@@ -187,7 +190,7 @@ class TestClassify:
 
         monkeypatch.setattr(search, "_levels", no_scan)
         with pytest.raises(SizeLimitExceededError):
-            classify(31, 20, jobs=2)
+            classify(31, 20)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
