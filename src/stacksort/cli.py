@@ -237,7 +237,14 @@ def _cmd_bound_check(args) -> int:
     return 0 if not failures else 1
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by every later one."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="stacksort",
         description="Fertilities of permutations under the stack-sorting map.")
@@ -297,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-dim", type=int, default=6)
     cmd.add_argument("--max-entry", type=int, default=5)
 
+    _PARSER = parser
     return parser
 
 

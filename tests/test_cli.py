@@ -35,14 +35,19 @@ def load_calls(monkeypatch):
     return calls
 
 
-def test_import_leaves_dataclasses_unloaded():
-    # every command pays for the modules that importing the CLI loads
+def after_fresh_import(expr):
+    """What ``expr`` prints after ``import sys, stacksort.cli`` in a new interpreter."""
     src = os.path.dirname(os.path.dirname(stacksort.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, stacksort.cli; print('dataclasses' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, stacksort.cli; print({expr})"],
         env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_import_leaves_dataclasses_unloaded():
+    # every command pays for the modules that importing the CLI loads
+    assert after_fresh_import("'dataclasses' in sys.modules") == (0, "False\n", "")
 
 
 class TestSort:
@@ -453,6 +458,46 @@ class TestBoundCheck:
     def test_malformed_input_is_a_domain_error(self, capsys, argv):
         code, out, err = run(capsys, "bound-check", *argv)
         assert code == 1 and out == "" and "error:" in err
+
+
+class TestParserMemo:
+    # one process, one parser: no parse may leave state that a later one reads
+    SEQUENCE = [
+        ["fertility"],
+        ["fertility", P27_TEXT, "--early-exit", "5", "--json"],
+        ["fertility", P27_TEXT],
+        ["bound-check", "1,2;2,1"],
+        ["bound-check", "--perm", P27_TEXT],
+        ["frobnicate"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        assert after_fresh_import("stacksort.cli._PARSER") == (0, "None\n", "")
+
+    def test_reuse_matches_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        parser = cli._PARSER
+        fresh = []
+        for argv in self.SEQUENCE:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(self.outcome(capsys, argv))
+            assert cli._PARSER is not parser
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 2]
+        assert reused[2][1] == "27\n"
 
 
 class TestUsageErrors:

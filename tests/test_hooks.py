@@ -15,6 +15,7 @@ from stacksort import (
     UnsortedPermutationError,
     catalan,
     composition_weight,
+    descents,
     enumerate_vhc,
     even_witness,
     factor_at_hook,
@@ -210,6 +211,21 @@ class TestFertility:
             for w, (_, comps) in table.items():
                 shifted = valid_compositions((1,) + tuple(x + 1 for x in w))
                 assert shifted == {(q[0] + 1,) + q[1:] for q in comps}
+
+    def test_uniquely_sorted_past_the_level_tables(self):
+        # Defant, "Catalan intervals and uniquely sorted permutations" (JCTA 2020):
+        # a sorted word of length n has fertility 1 exactly when it has (n - 1) / 2
+        # descents, and no sorted word has more
+        rng = random.Random(51)
+        for n in range(51, 302, 13):
+            w = stack_sort(tuple(rng.sample(range(1, n + 1), n)))
+            k = len(descents(w))
+            assert 2 * k <= n - 1, w
+            assert (fertility(w) == 1) == (2 * k == n - 1), w
+        for m in (1, 2, 3, 4, 10, 50, 100):
+            w = tuple(x for i in range(1, m + 1) for x in (2 * i, 2 * i - 1)) + (2 * m + 1,)
+            assert len(descents(w)) == m
+            assert fertility(w) == 1, m
 
     def test_is_sorted(self):
         assert not is_sorted((2, 1))
