@@ -9,7 +9,6 @@ ever compares entries.
 """
 from __future__ import annotations
 
-import re
 from typing import Sequence
 
 from .errors import (
@@ -21,8 +20,6 @@ from .errors import (
 )
 
 Perm = tuple[int, ...]
-
-_TOKEN_SPLIT = re.compile(r"[,\s]+")
 
 
 def _validated(entries: Sequence[int]) -> Perm:
@@ -51,9 +48,7 @@ def parse_permutation(text: str) -> Perm:
     >>> parse_permutation("")
     ()
     """
-    tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
-    if not tokens:
-        return ()
+    tokens = text.replace(",", " ").split()
     if len(tokens) == 1 and tokens[0].isdigit() and len(tokens[0]) > 1 and "0" not in tokens[0]:
         return _validated([int(ch) for ch in tokens[0]])
     try:

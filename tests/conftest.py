@@ -1,21 +1,23 @@
-"""Shared sweep data and independent mini-oracles for the test suite.
+"""Shared sweep data, independent mini-oracles and new interpreters for the
+test suite.
 
 The expensive artefacts (hook configurations for whole symmetric groups,
-stack-sort image tallies) are built once per session and shared; everything
-else here is a deliberately naive re-implementation used to cross-check the
-engine.
+stack-sort image tallies) are built once per session and shared; the
+mini-oracles are deliberately naive re-implementations used to cross-check
+the engine.
 """
 from __future__ import annotations
 
-import faulthandler
 import itertools
 import os
+import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
 
 import pytest
 
+import stacksort
 from stacksort import Hook, induced_composition, iter_vhc, stack_sort
 
 
@@ -95,32 +97,24 @@ def naive_point_colors(p, config):
     return tuple(colors)
 
 
-#: Seconds one test may run before the run is stopped with every thread's
-#: traceback; the slowest test takes under 2 s.
-TEST_TIME_LIMIT = 120
-
-_STDERR = pytest.StashKey()
-
-
-def pytest_configure(config):
-    # During a test, sys.stderr and even fd 2 feed pytest's capture, which a
-    # process killed by the watchdog never prints; keep a copy of the real one.
-    config.stash[_STDERR] = os.fdopen(os.dup(2), "w")
+def in_new_interpreter(*args):
+    """Start ``python *args`` with this package first on its path."""
+    src = os.path.dirname(os.path.dirname(stacksort.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
 
 
-def pytest_unconfigure(config):
-    config.stash[_STDERR].close()
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_protocol(item, nextitem):
-    """Turn a test that hangs into a failed run: past TEST_TIME_LIMIT the
-    tracebacks go to stderr and the process exits with status 1. A hook, not
-    an autouse fixture, so that the setup of shared fixtures is bounded too."""
-    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True,
-                                      file=item.config.stash[_STDERR])
-    yield
-    faulthandler.cancel_dump_traceback_later()
+def outcome(process):
+    """Exit code, stdout and stderr of a process started by in_new_interpreter;
+    one still running after 60 s is killed, as ``subprocess.run`` would."""
+    with process:
+        try:
+            out, err = process.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            raise
+    return process.returncode, out, err
 
 
 @pytest.fixture(autouse=True)

@@ -1,17 +1,15 @@
 import json
 import multiprocessing
-import os
-import subprocess
 import sys
 
 import pytest
 
-import stacksort
 from stacksort import cache as cache_mod
 from stacksort import cli, hooks
 from stacksort import InvalidArgumentError, StacksortError, fertility, search, spectrum
 from stacksort import catalan, even_witness, parse_permutation, witness
 from stacksort.cli import main
+from conftest import in_new_interpreter, outcome
 
 P27_TEXT = "3142567"
 
@@ -37,12 +35,7 @@ def load_calls(monkeypatch):
 
 def after_fresh_import(expr):
     """What ``expr`` prints after ``import sys, stacksort.cli`` in a new interpreter."""
-    src = os.path.dirname(os.path.dirname(stacksort.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", f"import sys, stacksort.cli; print({expr})"],
-        env=env, capture_output=True, text=True, timeout=60)
-    return done.returncode, done.stdout, done.stderr
+    return outcome(in_new_interpreter("-c", f"import sys, stacksort.cli; print({expr})"))
 
 
 def test_import_leaves_dataclasses_unloaded():
@@ -50,11 +43,18 @@ def test_import_leaves_dataclasses_unloaded():
     assert after_fresh_import("'dataclasses' in sys.modules") == (0, "False\n", "")
 
 
-class TestSort:
-    def test_compact(self, capsys):
-        code, out, _ = run(capsys, "sort", "4162")
-        assert code == 0 and out == "1426\n"
+def test_entry_points():
+    # `python -m stacksort` runs __main__.py, which exits through cli.main_entry;
+    # the three interpreters start at once to keep the test short
+    runs = [in_new_interpreter("-m", "stacksort", *argv)
+            for argv in (["sort", "4162"], ["classify", "3", "--max-n", "0"], ["no-such-command"])]
+    ok, failed, unknown = (outcome(process) for process in runs)
+    assert ok == (0, "1426\n", "")
+    assert failed == (1, "", "error: n_max must be positive\n")
+    assert unknown[:2] == (2, "") and "invalid choice: 'no-such-command'" in unknown[2]
 
+
+class TestSort:
     def test_multi_token(self, capsys):
         code, out, _ = run(capsys, "sort", "13", "2", "12", "15")
         assert code == 0 and out == "2 12 13 15\n"

@@ -1,9 +1,5 @@
 """The package's own checks are raises, not asserts, so ``python -O`` keeps them."""
-import os
-import subprocess
-import sys
-
-import stacksort
+from conftest import in_new_interpreter, outcome
 
 SCRIPT = """
 import math
@@ -12,8 +8,8 @@ import sys
 import tempfile
 from unittest import mock
 from stacksort import (
-    CorruptRecordError, ReductionNotFoundError, VerificationFailedError, families, hooks, load,
-    reduce_stationary, search, spectrum, witness)
+    CorruptRecordError, Hook, ReductionNotFoundError, VerificationFailedError, families, hooks,
+    load, reduce_stationary, search, spectrum, witness)
 
 if __debug__:
     sys.exit("asserts are still on")
@@ -33,6 +29,9 @@ with mock.patch.object(families, "fertility", lambda p: 13):
     expect(VerificationFailedError, lambda: witness(12))
 with mock.patch.object(hooks, "_reduction_candidate", lambda p, hook: (2, 1)):
     expect(ReductionNotFoundError, lambda: reduce_stationary((1, 3, 2, 4), 1))
+with mock.patch.object(hooks, "enumerate_vhc", lambda p: [(Hook(1, 3),), (Hook(1, 4),)]), \
+        mock.patch.object(hooks, "induced_composition", lambda p, c: (2, 1)):
+    expect(VerificationFailedError, lambda: reduce_stationary((2, 1, 3, 4), 1))
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "cache.jsonl")
     with open(path, "w") as fh:
@@ -46,8 +45,4 @@ print("ok")
 
 
 def test_checks_raise_under_python_O():
-    src = os.path.dirname(os.path.dirname(stacksort.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+    assert outcome(in_new_interpreter("-O", "-c", SCRIPT)) == (0, "ok\n", "")

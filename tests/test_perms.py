@@ -1,12 +1,17 @@
+import random
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from stacksort import (
     DuplicateEntryError,
+    InvalidArgumentError,
     LastEntryNotMaxError,
     NonPositiveEntryError,
     NotNormalizedError,
+    StacksortError,
     bracket,
     descents,
     direct_sum,
@@ -17,6 +22,7 @@ from stacksort import (
     perm_text,
     stack_sort,
 )
+from stacksort.perms import _validated
 from conftest import all_perms, stack_sort_recursive
 
 words = st.lists(st.integers(1, 60), unique=True, max_size=8).map(tuple)
@@ -65,6 +71,34 @@ class TestParse:
         for text in ("4162", "13 2 12 15", ""):
             p = parse_permutation(text)
             assert parse_permutation(perm_text(p)) == p
+
+    def test_tokens_match_the_regex_split(self):
+        # the tokenizer before str.split: one run of commas and \s is one separator
+        def reference(text):
+            tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
+            if not tokens:
+                return ()
+            if len(tokens) == 1 and tokens[0].isdigit() and len(tokens[0]) > 1 \
+                    and "0" not in tokens[0]:
+                return _validated([int(ch) for ch in tokens[0]])
+            try:
+                entries = [int(t) for t in tokens]
+            except ValueError:
+                raise InvalidArgumentError(f"not a permutation word: {text!r}") from None
+            return _validated(entries)
+
+        def result(parse, text):
+            try:
+                return parse(text)
+            except StacksortError as error:
+                return type(error), str(error)
+
+        # separators, Unicode spaces, two non-space look-alikes, digits, signs, letters
+        alphabet = ", \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u3000\u200b\ufeff0123456789-ab"
+        rng = random.Random(13)
+        for _ in range(5000):
+            text = "".join(rng.choices(alphabet, k=rng.randrange(12)))
+            assert result(parse_permutation, text) == result(reference, text), repr(text)
 
 
 class TestNormalize:

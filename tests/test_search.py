@@ -24,7 +24,6 @@ from stacksort import (
     nd_fd,
     small_odd_status,
     spectrum,
-    valid_compositions,
     witness,
 )
 from stacksort import search
@@ -234,12 +233,6 @@ class TestDensity:
 
 
 class TestMatrixBound:
-    def test_composition_matrix_of_the_example(self):
-        matrix = sorted(valid_compositions((3, 1, 4, 2, 5, 6, 7)))
-        n_d, f_d = nd_fd(matrix)
-        assert (n_d, f_d) == (7, 27)
-        assert matrix_bound_holds(matrix)
-
     def test_nd_fd_small(self):
         assert nd_fd([[1]]) == (1, 1)
         assert nd_fd([[1, 2], [2, 1]]) == (4, 4)
