@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from stacksort import (
     stack_sort,
     stationary_hooks,
     valid_compositions,
+    witness,
 )
 from stacksort import hooks
 from stacksort.hooks import _project, _reduction_candidate
@@ -52,6 +54,10 @@ def images(lo, hi):
     """Stack-sort images of uniformly drawn permutations of length lo..hi."""
     return st.integers(lo, hi).flatmap(
         lambda n: st.permutations(range(1, n + 1))).map(lambda w: stack_sort(tuple(w)))
+
+
+def table_kernel(w):
+    return hooks._interval_rows(w)[len(w)].get(0, 0)
 
 
 def naive_next_greater(w):
@@ -103,7 +109,7 @@ class TestEnumeration:
         words = [w for n in range(1, 8) for w in all_perms(n)]
         words += [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(10, 61)]
         for w in words:
-            assert hooks._interval_rows(w)[1][1:] == naive_next_greater(w), w
+            assert hooks._sortedness(w)[2][1:] == naive_next_greater(w), w
 
     @settings(max_examples=25, deadline=None)
     @given(images(10, 12))
@@ -222,6 +228,15 @@ class TestFertility:
             for w in all_perms(n):
                 assert is_sorted(w) == (w in images), w
 
+    def test_is_sorted_on_long_words_counts_nothing(self):
+        # counting either word with the interval table takes seconds
+        rng = random.Random(15)
+        for w, expected in ((even_witness(500), True),
+                            (tuple(rng.sample(range(1, 1000), 999)) + (1000,), False)):
+            start = time.perf_counter()
+            assert is_sorted(w) is expected
+            assert time.perf_counter() - start < 0.1
+
 
 class TestIntervalKernel:
     """The interval recursion against the hook-weight sum and closed forms."""
@@ -248,6 +263,63 @@ class TestIntervalKernel:
     @given(images(8, 14), images(4, 12))
     def test_product_witness_multiplies(self, a, b):
         assert fertility(product_witness(a, b)) == fertility(a) * fertility(b)
+
+
+class TestDemandKernel:
+    """The demand-driven kernel against the interval table, both called directly."""
+
+    def test_matches_table_through_s7(self):
+        for n in range(8):
+            for w in all_perms(n):
+                assert hooks._demanded_fertility(w) == table_kernel(w), w
+
+    def test_matches_table_on_s8_words_ending_in_8(self):
+        # the other words of S_8 are unsorted by the maximum rule alone
+        for w in all_perms(7):
+            w += (8,)
+            assert hooks._demanded_fertility(w) == table_kernel(w), w
+
+    def test_matches_table_on_seeded_images(self):
+        rng = random.Random(15)
+        for n in range(20, 301, 7):
+            w = stack_sort(tuple(rng.sample(range(1, n + 1), n)))
+            assert hooks._demanded_fertility(w) == table_kernel(w), w
+
+    def test_closed_forms_beyond_n_100(self):
+        demanded = hooks._demanded_fertility
+        assert demanded(even_witness(60)) == 120
+        assert demanded(one_mod4_witness(55)) == 221
+        assert demanded(interleaved_witness(49)) == interleaved_fertility(49)
+        assert demanded(product_witness(interleaved_witness(6), one_mod4_witness(50))) \
+            == 119 * 201
+        for f in (729, 2701):
+            w = witness(f).witness
+            assert len(w) > 100 and demanded(w) == f
+
+    def test_sortedness_bits_match_the_table(self):
+        rng = random.Random(16)
+        words = [w for n in range(7) for w in all_perms(n)]
+        words += [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(10, 41)]
+        for w in words:
+            sets = hooks._sortedness(w)[0]
+            rows = hooks._interval_rows(w)
+            for b, row in enumerate(rows):
+                assert sets[b] == sum(1 << a for a in row), (w, b)
+
+    @pytest.mark.parametrize("run, kernel", [
+        (hooks._DEMAND_RUN, "_demanded_fertility"),
+        (hooks._DEMAND_RUN - 1, "_interval_rows"),
+    ])
+    def test_fertility_picks_the_kernel_by_longest_run(self, monkeypatch, run, kernel):
+        ran = []
+        for name in ("_demanded_fertility", "_interval_rows"):
+            real = getattr(hooks, name)
+            monkeypatch.setattr(hooks, name,
+                                lambda w, name=name, real=real: ran.append(name) or real(w))
+        w = even_witness(run - 1)  # m .. 1 then a run of m + 1
+        assert hooks._longest_run(w) == run
+        assert fertility(w) == 2 * (run - 1)
+        assert ran == [kernel]
 
 
 class TestMetamorphic:

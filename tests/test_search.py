@@ -30,6 +30,18 @@ from stacksort import search
 from conftest import image_counts, vhc_table
 
 
+@st.composite
+def bound_matrices(draw):
+    """A 1..5 x 1..5 matrix of entries 1..5 with a 2..5 in every column."""
+    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(1, 5), min_size=b, max_size=b)
+    rows = draw(st.lists(row, min_size=a, max_size=a))
+    for j in range(b):
+        if all(r[j] == 1 for r in rows):
+            rows[draw(st.integers(0, a - 1))][j] = draw(st.integers(2, 5))
+    return rows
+
+
 @pytest.fixture(scope="module")
 def levels():
     """n -> level table of S_n, for n = 1 .. 10."""
@@ -264,12 +276,8 @@ class TestMatrixBound:
             nd_fd([[0, 2]])
 
     @settings(max_examples=200)
-    @given(st.integers(1, 5), st.integers(1, 5), st.data())
-    def test_bound_on_random_matrices(self, a, b, data):
-        rows = [[data.draw(st.integers(1, 5)) for _ in range(b)] for _ in range(a)]
-        for j in range(b):
-            if all(row[j] == 1 for row in rows):
-                rows[data.draw(st.integers(0, a - 1))][j] = data.draw(st.integers(2, 5))
+    @given(bound_matrices())
+    def test_bound_on_random_matrices(self, rows):
         assert matrix_bound_holds(rows)
 
 
