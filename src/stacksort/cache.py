@@ -8,6 +8,10 @@ take an exclusive lock on the file, reads a shared one. A line ends at
 ``\r`` are skipped. A crash in the middle of an append can leave an
 unterminated last line: reads skip it with a warning on the ``stacksort``
 logger, and the next append cuts it off.
+
+A file made only of the lines :func:`record_line` writes, each ended by
+``\n``, is read in one validated pass over the whole text. Any other file
+takes the line parser, which gives the same records, warnings and errors.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import functools
 import json
 import logging
 import os
+import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CorruptRecordError, SizeLimitExceededError
@@ -44,6 +49,10 @@ def record_line(record: CacheRecord) -> str:
 def _alphabet(n: int) -> frozenset[str]:
     """The canonical entry texts ``"1"`` .. ``str(n)``."""
     return frozenset(map(str, range(1, n + 1)))
+
+
+# the exact line record_line writes, "\n" included; its groups are the key and value
+_RECORD = r'\{"perm":"([0-9 ]*)","fertility":"(0|[1-9][0-9]*)"\}\n'
 
 
 def _parse_line(line: str, lineno: int) -> CacheRecord:
@@ -77,20 +86,31 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
     return CacheRecord(text, value)
 
 
-def read_records(path: str | os.PathLike) -> list[CacheRecord]:
-    """All records in file order; missing file reads as empty.
+def _scan(text: str) -> tuple[list[str], list[int]] | None:
+    """Keys and values of a text made only of :func:`record_line` lines, each
+    ended by ``\\n``, in one validated pass; ``None`` for any other text.
 
-    An unterminated last line that does not parse is skipped with a warning;
-    a bad line anywhere else raises :class:`CorruptRecordError`.
+    Splitting at the records leaves the text between them, so the text is such
+    lines exactly when every piece left is empty. A key must still pass the
+    token-set check of :func:`_parse_line`, and a value the interpreter's
+    digit limit: any that does not also gives ``None``.
     """
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8", newline="") as fh:
-        fcntl.flock(fh, fcntl.LOCK_SH)
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise CorruptRecordError(f"{os.fspath(path)}: {exc}") from None
+    parts = re.split(_RECORD, text)
+    if any(parts[::3]):
+        return None
+    keys = parts[1::3]
+    for key in keys:
+        tokens = key.split(" ") if key else ()
+        if set(tokens) != _alphabet(len(tokens)):
+            return None
+    try:
+        return keys, list(map(int, parts[2::3]))
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str, path: str | os.PathLike) -> list[CacheRecord]:
+    """The records of a whole file's text, one :func:`_parse_line` call per line."""
     *lines, tail = text.split("\n")
     records = [_parse_line(line, i) for i, line in enumerate(lines, start=1)
                if line not in ("", "\r")]
@@ -100,6 +120,29 @@ def read_records(path: str | os.PathLike) -> list[CacheRecord]:
         except CorruptRecordError as exc:
             _log.warning("%s: skipping an unterminated last line (%s)", os.fspath(path), exc)
     return records
+
+
+def _pairs(path: str | os.PathLike) -> Iterable[tuple[str, int]]:
+    """(key, value) of every record in file order; a missing file has none."""
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8", newline="") as fh:
+        fcntl.flock(fh, fcntl.LOCK_SH)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorruptRecordError(f"{os.fspath(path)}: {exc}") from None
+    scanned = _scan(text)
+    return _parse_lines(text, path) if scanned is None else zip(*scanned)
+
+
+def read_records(path: str | os.PathLike) -> list[CacheRecord]:
+    """All records in file order; missing file reads as empty.
+
+    An unterminated last line that does not parse is skipped with a warning;
+    a bad line anywhere else raises :class:`CorruptRecordError`.
+    """
+    return list(map(CacheRecord._make, _pairs(path)))
 
 
 def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> None:
@@ -135,11 +178,10 @@ def load(path: str | os.PathLike) -> dict[str, int]:
     duplicate means the file is corrupt.
     """
     table: dict[str, int] = {}
-    for record in read_records(path):
-        old = table.setdefault(record.perm, record.fertility)
-        if old != record.fertility:
-            raise CorruptRecordError(
-                f"conflicting values for {record.perm!r}: {old} and {record.fertility}")
+    for key, value in _pairs(path):
+        old = table.setdefault(key, value)
+        if old != value:
+            raise CorruptRecordError(f"conflicting values for {key!r}: {old} and {value}")
     return table
 
 

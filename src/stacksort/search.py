@@ -70,8 +70,9 @@ def _levels(n_max: int) -> Iterator[tuple[int, dict[Perm, int]]]:
         for k in range(n):
             for a in itertools.combinations(letters, k):
                 b = [x for x in letters if x not in a]
-                lefts = [(tuple(a[x - 1] for x in u), fu) for u, fu in tables[k].items()]
-                rights = [(tuple(b[x - 1] for x in v) + (n,), fv)
+                # tuples from lists, not generators: see perms.normalize
+                lefts = [(tuple([a[x - 1] for x in u]), fu) for u, fu in tables[k].items()]
+                rights = [(tuple([b[x - 1] for x in v]) + (n,), fv)
                           for v, fv in tables[n - 1 - k].items()]
                 for u, fu in lefts:
                     for v, fv in rights:

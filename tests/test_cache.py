@@ -21,7 +21,7 @@ from stacksort import (
     load,
     read_records,
 )
-from stacksort.cache import _parse_line, record_line
+from stacksort.cache import _parse_line, _parse_lines, _scan, record_line
 from stacksort.perms import is_normalized
 
 
@@ -104,13 +104,14 @@ def test_non_canonical_value_is_corrupt(tmp_path, value):
 def test_value_check_is_the_digit_rule(digits):
     # ASCII digits with no leading zero, "0" itself included
     canonical = digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0")
-    line = json.dumps({"perm": "1", "fertility": digits})
+    line = json.dumps({"perm": "1", "fertility": digits}, separators=(",", ":"))
     try:
         _parse_line(line, 1)
     except CorruptRecordError:
         assert not canonical
     else:
         assert canonical
+    assert (_scan(line + "\n") is not None) == canonical
 
 
 def test_zero_and_long_values_load(tmp_path):
@@ -140,20 +141,25 @@ def accepts(key) -> bool:
     return True
 
 
+def scans(key) -> bool:
+    """Whether the whole-file path takes the text of one record with this key."""
+    return _scan(record_line(CacheRecord(key, 1)) + "\n") is not None
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.text(alphabet="0123456789 +-_x,", max_size=14) | st.text(alphabet="123 ", max_size=7))
 def test_key_check_matches_the_integer_check_on_drawn_strings(key):
-    assert accepts(key) == reference_accepts(key)
+    assert accepts(key) == reference_accepts(key) == scans(key)
 
 
 def test_key_check_matches_the_integer_check_on_permutations_and_malformed_keys():
     rng = random.Random(7)
     keys = [" ".join(map(str, rng.sample(range(1, n + 1), n))) for n in range(31) for _ in range(3)]
-    assert all(accepts(key) and reference_accepts(key) for key in keys)
+    assert all(accepts(key) and reference_accepts(key) and scans(key) for key in keys)
     for raw in ('5', 'null', '["1","2"]', '"1 1"', '"0 1"', '"-1"', '"1  2"', '" 1 2"',
                 '"1 2 "', '"1,2"', '"12"', '"01 2"', '"+1 2"', '"1 x"', '"2 4"', '""'):
         key = json.loads(raw)
-        assert accepts(key) == reference_accepts(key) == (key == "")
+        assert accepts(key) == reference_accepts(key) == scans(key) == (key == "")
 
 
 def test_load_keeps_first_occurrence_order(tmp_path):
@@ -211,6 +217,42 @@ def test_a_form_feed_does_not_end_a_line(tmp_path, caplog):
     assert "unterminated last line" in caplog.text
     append_records(path, [CacheRecord("1 2 3", 5)])
     assert path.read_text() == GOOD + '{"perm":"1 2 3","fertility":"5"}\n'
+
+
+CANONICAL = [record_line(CacheRecord(k, v)) + "\n" for k, v in [
+    ("3 1 4 2 5 6 7", 27), ("", 1), ("2 1", 0), ("1 2", 2), ("1", 1), ("1 2", 2)]]
+
+
+@pytest.mark.parametrize("odd", [
+    '{"perm":"2 1 3","fertility":"1"}\r\n', '{"perm":"\\u0031 2 3","fertility":"5"}\n',
+    '{"perm": "1 2 3","fertility":"5"}\n', '{"fertility":"5","perm":"1 2 3"}\n',
+    '{"perm":"2 1","perm":"1 2 3","fertility":"5"}\n', '{"perm":"1 2 3","fertility":"05"}\n',
+    '\n', '{"perm":"1 2 3","fertility":"5"}', '{"perm":"1 2 3","fertil'])
+def test_one_odd_line_reads_as_the_line_parser_reads_it(tmp_path, caplog, odd):
+    """A file of record_line lines takes the whole-file path with the line
+    parser's records; one odd line anywhere sends it to the line parser."""
+    path = tmp_path / "cache.jsonl"
+    text = "".join(CANONICAL)
+    assert list(zip(*_scan(text))) == _parse_lines(text, path)
+
+    def outcome(read):
+        caplog.clear()
+        try:
+            got = read()
+        except CorruptRecordError as exc:
+            got = repr(exc)
+        return got, caplog.text
+
+    ats = range(len(CANONICAL) + 1) if odd.endswith("\n") else [len(CANONICAL)]
+    for at in ats:
+        text = "".join(CANONICAL[:at] + [odd] + CANONICAL[at:])
+        path.write_bytes(text.encode("utf-8"))
+        assert _scan(text) is None
+        with caplog.at_level(logging.WARNING, logger="stacksort"):
+            want = outcome(lambda: _parse_lines(text, path))
+            assert outcome(lambda: read_records(path)) == want
+            assert outcome(lambda: load(path)) == (
+                want if isinstance(want[0], str) else (dict(want[0]), want[1]))
 
 
 NOTE = '{"perm":"1","fertility":"1","note":"\u2028\x85"}'
