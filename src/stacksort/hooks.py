@@ -17,10 +17,6 @@ of hook configurations. It runs in two phases:
    reaches through those bitsets, an increasing interval of length L being
    ``catalan(L)`` outright.
 
-A word whose longest increasing run is short reaches nearly every sorted
-interval anyway, and there the plain table :func:`_interval_rows` is faster;
-:func:`fertility` picks the kernel by that run length alone.
-
 The hook model is the structural view of the same number, and the rest of
 this module implements it. Draw the plot of ``p`` (1-based columns and
 values). A *hook* runs from a southwest endpoint (i, p_i) vertically up and
@@ -51,7 +47,6 @@ the search with the sortedness bitsets of phase 1.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect
 from typing import Iterator, NamedTuple, Sequence
@@ -94,7 +89,7 @@ def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
     exactly when columns ``ds[t] .. stop - 1`` form a sorted word, because
     constraints 2 and 3 only look at columns under a hook; that is one bit of
     the bitsets of phase 1 (:func:`_sortedness`), and the search counts
-    nothing, so it never runs phase 2 or the interval table. Column
+    nothing, so it never runs phase 2. Column
     ``stop - 1`` is never a descent, since ``stop`` is a northeast candidate
     (above its left neighbour) or n + 1. A hook ``(d, j)`` is taken only when
     the region under it and the rest of the enclosing hook both pass this
@@ -220,26 +215,11 @@ def composition_weight(q: Sequence[int]) -> int:
     return math.prod(catalan(x) for x in q)
 
 
-# The shortest longest run for which fertility() takes the demand-driven
-# kernel. Random sorted words of length up to 100 have runs of at most 13; at
-# length 300..600 a few in a hundred reach 16, where phase 2 costs up to a
-# fifth more than the table.
-_DEMAND_RUN = 16
-
-
 def fertility(p: Sequence[int]) -> int:
     """Number of stack-sorting preimages of ``p``, by the interval recursion.
 
-    An unsorted word has fertility 0. Two kernels evaluate the recursion, and
-    the longest increasing run of ``p`` alone picks one. From ``_DEMAND_RUN``
-    entries on, :func:`_demanded_fertility` visits only the intervals that
-    F(0, n) reaches: an increasing interval is a Catalan number, so a long
-    run cuts the recursion short. The witness families are such words, with
-    runs of half their length: their verification visits O(n) intervals
-    instead of filling a table of O(n^2) sums. Shorter runs keep the table of
-    :func:`_interval_rows`: there the recursion reaches most sorted intervals
-    anyway, and the table, one pass of dict arithmetic per right end, is up
-    to three times faster than the bitset walks of the demand pass.
+    A word that does not end in its maximum has none and an increasing word
+    has ``catalan(n)``, each found in one pass; phases 1 and 2 count the rest.
 
     >>> fertility((3, 1, 4, 2, 5, 6, 7))
     27
@@ -249,22 +229,9 @@ def fertility(p: Sequence[int]) -> int:
     w = tuple(p)
     if w and w[-1] != max(w):
         return 0
-    run = _longest_run(w)
-    if run == len(w):
-        return catalan(run)  # the empty word included
-    if run >= _DEMAND_RUN:
-        return _demanded_fertility(w)
-    return _interval_rows(w)[len(w)].get(0, 0)
-
-
-def _longest_run(w: Perm) -> int:
-    """Length of the longest increasing run of consecutive entries of ``w``."""
-    start = best = 0
-    for i in range(1, len(w)):
-        if w[i - 1] > w[i]:
-            best = max(best, i - start)
-            start = i
-    return max(best, len(w) - start)
+    if all(x < y for x, y in zip(w, w[1:])):
+        return catalan(len(w))  # the empty word included
+    return _demanded_fertility(w)
 
 
 def _sortedness(w: Perm) -> tuple[list[int], list[int], list[int]]:
@@ -273,7 +240,8 @@ def _sortedness(w: Perm) -> tuple[list[int], list[int], list[int]]:
     Returns ``(sets, starts, up)``. Bit a of ``sets[b]`` is set exactly when
     F(a, b) > 0, that is when ``w[a:b]`` is a stack-sorting image. Bit b
     always is, and for a < b, with r = b - 1 and lo one past the previous
-    greater entry of w[r], the recursion of :func:`_interval_rows` gives
+    greater entry of w[r], the recursion F(a, b) = sum of F(a, i) * F(i, r)
+    over a <= i <= r (when w[r] = max w[a:b], else 0) gives
 
         sets[b] = {b} | (OR of sets[i] over i in sets[r]) >> lo << lo,
 
@@ -307,9 +275,9 @@ def _sortedness(w: Perm) -> tuple[list[int], list[int], list[int]]:
         else:
             fresh, union = sets[r], 0
         while fresh:
-            low = fresh & -fresh
-            union |= sets[low.bit_length() - 1]
-            fresh ^= low
+            i = fresh.bit_length() - 1
+            union |= sets[i]
+            fresh ^= 1 << i
         sets.append(union >> lo << lo | 1 << b)
     return sets, starts, up
 
@@ -317,94 +285,72 @@ def _sortedness(w: Perm) -> tuple[list[int], list[int], list[int]]:
 def _demanded_fertility(w: Perm) -> int:
     """Phase 2: F(0, n) evaluated over only the intervals it reaches.
 
-    The splits of a sorted, non-increasing interval (a, b) are the i with
-    F(a, i) and F(i, b - 1) both positive: the bits of ``sets[b - 1]`` that
-    are also bits of ``cols[a]``, the transposed bitset of intervals sorted
-    from a. A right-to-left pass over b collects the demanded intervals and
-    their splits; a left-to-right pass evaluates them, an increasing interval
-    as a Catalan number. All tables live for one call.
+    The splits of a sorted, non-increasing interval (a, b) are the bits of
+    ``sets[b - 1] & cols[a]``, ``cols`` being ``sets`` transposed. The sets
+    only grow along an increasing run, so a bit new to ``sets[b]`` stays set
+    up to the run's last right end, and one span of right ends per new bit
+    fills ``cols``. Bit a of ``need[b]`` marks (a, b) as demanded. A
+    right-to-left pass from (0, n) puts all the splits i of each demanded,
+    non-increasing (a, b) into ``need[b - 1]`` at once and sets bit a of
+    each ``need[i]``; a left-to-right pass evaluates the demanded intervals,
+    an increasing one (a >= ``starts[b]``) as ``catalan(b - a)``. All tables
+    live for one call.
     """
     n = len(w)
     sets, starts, _ = _sortedness(w)
     if not sets[n] & 1:
         return 0
     cols = [0] * (n + 1)  # bit b of cols[a] is bit a of sets[b]
-    for b, row in enumerate(sets):
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= 1 << b
-            row ^= low
-    need: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]  # need[b]: a -> splits
-    need[n][0] = []
+    end = n  # last right end of the increasing run that holds b
+    for b in range(n, -1, -1):
+        grows = b >= 2 and w[b - 2] < w[b - 1]
+        new = sets[b] & ~sets[b - 1] if grows else sets[b]
+        span = (2 << end) - (1 << b)
+        while new:
+            a = new.bit_length() - 1
+            cols[a] |= span
+            new ^= 1 << a
+        if not grows:
+            end = b - 1
+    need = [0] * (n + 1)  # bit a of need[b]: F(a, b) is demanded
+    need[n] = 1
     for b in range(n, 0, -1):
         r = b - 1
-        for a, splits in need[b].items():
-            if a >= starts[b]:
-                continue
+        row = need[b] & ((1 << starts[b]) - 1)  # the non-increasing ones
+        while row:
+            a = row.bit_length() - 1
+            bit = 1 << a
+            row ^= bit
             both = sets[r] & cols[a]
+            need[r] |= both
             while both:
-                low = both & -both
-                i = low.bit_length() - 1
-                both ^= low
-                splits.append(i)
-                need[i].setdefault(a, [])
-                need[r].setdefault(i, [])
-    cat = [1]
-    for j in range(max(b - s for b, s in enumerate(starts))):
-        cat.append(cat[j] * (4 * j + 2) // (j + 2))
-    value: list[dict[int, int]] = []  # value[b]: a -> F(a, b) for a in need[b]
-    for b, row in enumerate(need):
-        value.append({a: cat[b - a] if a >= starts[b] else
-                      sum(value[i][a] * value[b - 1][i] for i in splits)
-                      for a, splits in row.items()})
-    return value[n][0]
-
-
-def _interval_rows(w: Perm) -> list[dict[int, int]]:
-    """The table F(a, b) = fert(w[a:b]) over every interval of ``w``.
-
-    ``rows[b]`` maps each a with F(a, b) > 0 to that value, keyed by a in
-    decreasing order. F(a, a) = 1, and for a < b, with r = b - 1,
-
-        F(a, b) = sum_{i=a}^{r} F(a, i) * F(i, r)   if w[r] = max w[a:b],
-
-    else 0. So F(a, b) vanishes for a at or before the previous greater
-    entry of w[r], and an increasing interval of length L has F = catalan(L).
-    The key order lets each sum stop at the first a left of its bound.
-    """
-    n = len(w)
-    rows: list[dict[int, int]] = [{0: 1}]
-    stack: list[int] = []  # columns still waiting for a larger entry
+                i = both.bit_length() - 1
+                need[i] |= bit
+                both ^= 1 << i
     cat = [1]  # catalan(0 .. longest increasing run so far)
-    rs = 0  # first index of the increasing run ending at w[r]
-    for b, v in enumerate(w, start=1):
-        r = b - 1
-        while stack and w[stack[-1] - 1] < v:
-            stack.pop()
-        lo = stack[-1] if stack else 0  # one past the previous greater entry
-        stack.append(b)
-        rs = rs if r and w[r - 1] < v else r
-        if b - rs == len(cat):
+    keys = list(range(n + 1))  # shared left ends: ints past 256 are not cached
+    value = [{0: 1}]  # value[b]: a -> F(a, b) for a in need[b]
+    for b, row in enumerate(need[1:], start=1):
+        if b - starts[b] == len(cat):
             j = len(cat) - 1
             cat.append(cat[j] * (4 * j + 2) // (j + 2))
-        # F(a, b) for rs <= a <= b is a Catalan number; the sums fill a < rs.
-        # Pushing each nonzero F(i, r) into the F(a, i) it multiplies touches
-        # nonzero products only.
-        acc: dict[int, int] = {}
-        for i, f_ir in rows[r].items():
-            if i < lo:
-                break
-            left = rows[i].items()
-            # skip the first i - rs + 1 keys of rows[i] (a = i .. rs): set below
-            for a, f_ai in itertools.islice(left, i - rs + 1, None) if i >= rs else left:
-                if a < lo:
-                    break
-                acc[a] = acc.get(a, 0) + f_ai * f_ir
-        row = {a: cat[b - a] for a in range(b, rs - 1, -1)}
-        for a in sorted(acc, reverse=True):
-            row[a] = acc[a]
-        rows.append(row)
-    return rows
+        prev = value[-1]  # F(i, b - 1)
+        got = {}
+        while row:
+            a = keys[row.bit_length() - 1]
+            row ^= 1 << a
+            if a >= starts[b]:
+                got[a] = cat[b - a]
+                continue
+            total = 0
+            both = sets[b - 1] & cols[a]
+            while both:
+                i = both.bit_length() - 1
+                both ^= 1 << i
+                total += value[i][a] * prev[i]
+            got[a] = total
+        value.append(got)
+    return value[n][0]
 
 
 def is_sorted(p: Sequence[int]) -> bool:

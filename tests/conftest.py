@@ -80,6 +80,53 @@ def naive_vhc(p):
     return sorted(configs, key=lambda c: tuple(h.ne for h in c))
 
 
+def interval_rows(w):
+    """Reference table F(a, b) = fert(w[a:b]) over every interval of ``w``,
+    without the sortedness bitsets or the demand pass of the kernel.
+
+    ``rows[b]`` maps each a with F(a, b) > 0 to that value, keyed by a in
+    decreasing order. F(a, a) = 1, and for a < b, with r = b - 1,
+
+        F(a, b) = sum_{i=a}^{r} F(a, i) * F(i, r)   if w[r] = max w[a:b],
+
+    else 0. So F(a, b) vanishes for a at or before the previous greater
+    entry of w[r], and an increasing interval of length L has F = catalan(L).
+    The key order lets each sum stop at the first a left of its bound.
+    """
+    rows = [{0: 1}]
+    stack = []  # columns still waiting for a larger entry
+    cat = [1]  # catalan(0 .. longest increasing run so far)
+    rs = 0  # first index of the increasing run ending at w[r]
+    for b, v in enumerate(w, start=1):
+        r = b - 1
+        while stack and w[stack[-1] - 1] < v:
+            stack.pop()
+        lo = stack[-1] if stack else 0  # one past the previous greater entry
+        stack.append(b)
+        rs = rs if r and w[r - 1] < v else r
+        if b - rs == len(cat):
+            j = len(cat) - 1
+            cat.append(cat[j] * (4 * j + 2) // (j + 2))
+        # F(a, b) for rs <= a <= b is a Catalan number; the sums fill a < rs.
+        # Pushing each nonzero F(i, r) into the F(a, i) it multiplies touches
+        # nonzero products only.
+        acc = {}
+        for i, f_ir in rows[r].items():
+            if i < lo:
+                break
+            left = rows[i].items()
+            # skip the first i - rs + 1 keys of rows[i] (a = i .. rs): set below
+            for a, f_ai in itertools.islice(left, i - rs + 1, None) if i >= rs else left:
+                if a < lo:
+                    break
+                acc[a] = acc.get(a, 0) + f_ai * f_ir
+        row = {a: cat[b - a] for a in range(b, rs - 1, -1)}
+        for a in sorted(acc, reverse=True):
+            row[a] = acc[a]
+        rows.append(row)
+    return rows
+
+
 def naive_point_colors(p, config):
     """Reference coloring rule: scan every hook for every point."""
     n = len(p)

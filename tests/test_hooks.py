@@ -39,7 +39,8 @@ from stacksort import (
 )
 from stacksort import hooks
 from stacksort.hooks import _project, _reduction_candidate
-from conftest import all_perms, image_counts, naive_point_colors, naive_vhc, vhc_table
+from stacksort.perms import direct_sum
+from conftest import all_perms, image_counts, interval_rows, naive_point_colors, naive_vhc, vhc_table
 
 P27 = (3, 1, 4, 2, 5, 6, 7)
 P95 = (1, 2, 4, 3, 5, 6, 7)
@@ -57,7 +58,7 @@ def images(lo, hi):
 
 
 def table_kernel(w):
-    return hooks._interval_rows(w)[len(w)].get(0, 0)
+    return interval_rows(w)[len(w)].get(0, 0)
 
 
 def naive_next_greater(w):
@@ -228,14 +229,21 @@ class TestFertility:
             for w in all_perms(n):
                 assert is_sorted(w) == (w in images), w
 
-    def test_is_sorted_on_long_words_counts_nothing(self):
-        # counting either word with the interval table takes seconds
+    def test_is_sorted_on_long_words_counts_nothing(self, monkeypatch):
+        # counting either word with the reference table takes seconds
+        monkeypatch.setattr(hooks, "_demanded_fertility", lambda w: pytest.fail("phase 2 ran"))
         rng = random.Random(15)
         for w, expected in ((even_witness(500), True),
                             (tuple(rng.sample(range(1, 1000), 999)) + (1000,), False)):
             start = time.perf_counter()
             assert is_sorted(w) is expected
             assert time.perf_counter() - start < 0.1
+
+    def test_increasing_word_skips_phase_1(self, monkeypatch):
+        # phase 1 and the spans of an increasing word would hold O(n^2) bits
+        monkeypatch.setattr(hooks, "_sortedness", lambda w: pytest.fail("phase 1 ran"))
+        for n in (0, 1, 2, 3, 50, 7200):
+            assert fertility(tuple(range(1, n + 1))) == catalan(n)
 
 
 class TestIntervalKernel:
@@ -266,7 +274,7 @@ class TestIntervalKernel:
 
 
 class TestDemandKernel:
-    """The demand-driven kernel against the interval table, both called directly."""
+    """The demand-driven kernel, called directly, against the reference table."""
 
     def test_matches_table_through_s7(self):
         for n in range(8):
@@ -281,8 +289,23 @@ class TestDemandKernel:
 
     def test_matches_table_on_seeded_images(self):
         rng = random.Random(15)
-        for n in range(20, 301, 7):
-            w = stack_sort(tuple(rng.sample(range(1, n + 1), n)))
+        words = [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(20, 301, 7)]
+        # increasing runs of 10 to 20 entries, broken at different places: a
+        # bit of a run's span in cols set too early or kept too late adds or
+        # drops a split
+        words += [product_witness(even_witness(16), one_mod4_witness(11)),
+                  product_witness(one_mod4_witness(20), even_witness(10)),
+                  product_witness(interleaved_witness(6), even_witness(18)),
+                  product_witness(product_witness(even_witness(12), interleaved_witness(3)),
+                                  one_mod4_witness(14))]
+        for _ in range(6):
+            w = ()
+            for _ in range(rng.randint(2, 3)):
+                m = rng.randint(3, 10)
+                dense = stack_sort(tuple(rng.sample(range(1, m + 1), m)))
+                w = direct_sum(direct_sum(w, tuple(range(1, rng.randint(10, 20) + 1))), dense)
+            words.append(w)
+        for w in words:
             assert hooks._demanded_fertility(w) == table_kernel(w), w
 
     def test_closed_forms_beyond_n_100(self):
@@ -302,24 +325,9 @@ class TestDemandKernel:
         words += [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(10, 41)]
         for w in words:
             sets = hooks._sortedness(w)[0]
-            rows = hooks._interval_rows(w)
+            rows = interval_rows(w)
             for b, row in enumerate(rows):
                 assert sets[b] == sum(1 << a for a in row), (w, b)
-
-    @pytest.mark.parametrize("run, kernel", [
-        (hooks._DEMAND_RUN, "_demanded_fertility"),
-        (hooks._DEMAND_RUN - 1, "_interval_rows"),
-    ])
-    def test_fertility_picks_the_kernel_by_longest_run(self, monkeypatch, run, kernel):
-        ran = []
-        for name in ("_demanded_fertility", "_interval_rows"):
-            real = getattr(hooks, name)
-            monkeypatch.setattr(hooks, name,
-                                lambda w, name=name, real=real: ran.append(name) or real(w))
-        w = even_witness(run - 1)  # m .. 1 then a run of m + 1
-        assert hooks._longest_run(w) == run
-        assert fertility(w) == 2 * (run - 1)
-        assert ran == [kernel]
 
 
 class TestMetamorphic:
