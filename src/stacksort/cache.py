@@ -7,11 +7,8 @@ take an exclusive lock on the file, reads a shared one. A line ends at
 ``\n`` only, and a ``\r`` before it is allowed; lines that are empty or a lone
 ``\r`` are skipped. A crash in the middle of an append can leave an
 unterminated last line: reads skip it with a warning on the ``stacksort``
-logger, and the next append cuts it off.
-
-A file made only of the lines :func:`record_line` writes, each ended by
-``\n``, is read in one validated pass over the whole text. Any other file
-takes the line parser, which gives the same records, warnings and errors.
+logger, and the next append cuts it off. Reads take runs of the lines
+:func:`record_line` writes in bulk, and every other line one at a time.
 """
 from __future__ import annotations
 
@@ -21,6 +18,7 @@ import json
 import logging
 import os
 import re
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CorruptRecordError, SizeLimitExceededError
@@ -51,8 +49,8 @@ def _alphabet(n: int) -> frozenset[str]:
     return frozenset(map(str, range(1, n + 1)))
 
 
-# the exact line record_line writes, "\n" included; its groups are the key and value
-_RECORD = r'\{"perm":"([0-9 ]*)","fertility":"(0|[1-9][0-9]*)"\}\n'
+# a line as record_line writes it, at a line start and ended by "\n"; groups: key, value
+_RECORD = re.compile(r'(?m)^\{"perm":"([0-9 ]*)","fertility":"(0|[1-9][0-9]*)"\}\n')
 
 
 def _parse_line(line: str, lineno: int) -> CacheRecord:
@@ -86,40 +84,41 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
     return CacheRecord(text, value)
 
 
-def _scan(text: str) -> tuple[list[str], list[int]] | None:
-    """Keys and values of a text made only of :func:`record_line` lines, each
-    ended by ``\\n``, in one validated pass; ``None`` for any other text.
+def _read(text: str, name: str = "") -> Iterable[tuple[str, int]]:
+    """(key, value) of every record in a cache file's text, in file order.
 
-    Splitting at the records leaves the text between them, so the text is such
-    lines exactly when every piece left is empty. A key must still pass the
-    token-set check of :func:`_parse_line`, and a value the interpreter's
-    digit limit: any that does not also gives ``None``.
+    Runs of :func:`record_line` lines are checked and converted in bulk. Every
+    other line goes through :func:`_parse_line`, and so does each line of a run
+    that fails, so that the error names the first bad line. ``name`` names the
+    file in the warning for an unterminated last line that does not parse.
     """
-    parts = re.split(_RECORD, text)
-    if any(parts[::3]):
-        return None
-    keys = parts[1::3]
-    for key in keys:
-        tokens = key.split(" ") if key else ()
-        if set(tokens) != _alphabet(len(tokens)):
-            return None
-    try:
-        return keys, list(map(int, parts[2::3]))
-    except ValueError:
-        return None
-
-
-def _parse_lines(text: str, path: str | os.PathLike) -> list[CacheRecord]:
-    """The records of a whole file's text, one :func:`_parse_line` call per line."""
-    *lines, tail = text.split("\n")
-    records = [_parse_line(line, i) for i, line in enumerate(lines, start=1)
-               if line not in ("", "\r")]
+    parts = _RECORD.split(text)  # a gap, then key, value and gap per record
+    chunks: list[Iterable[tuple[str, int]]] = []
+    lineno, run = 1, 1  # the number of the run's first line; its first key's index in parts
+    # a run of records ends at each gap with text in it, and at the end of the text
+    for gap in [*compress(range(0, len(parts) - 1, 3), parts[:-1:3]), len(parts) - 1]:
+        run_keys, run_values = parts[run:gap:3], parts[run + 1:gap:3]
+        *lines, tail = parts[gap].split("\n")  # only the last gap can have a tail
+        try:
+            for key in run_keys:  # the token-set check of _parse_line
+                tokens = key.split(" ") if key else ()
+                if set(tokens) != _alphabet(len(tokens)):
+                    raise ValueError(key)
+            chunks.append(zip(run_keys, list(map(int, run_values))))
+        except ValueError:  # parse the run's lines instead: that raises at the first bad one
+            lines[:0] = map('{{"perm":"{}","fertility":"{}"}}'.format, run_keys, run_values)
+        else:
+            lineno += len(run_keys)
+        chunks.append([_parse_line(line, i) for i, line in enumerate(lines, start=lineno)
+                       if line not in ("", "\r")])
+        lineno += len(lines)
+        run = gap + 1
     if tail:
         try:
-            records.append(_parse_line(tail, len(lines) + 1))
+            chunks.append([_parse_line(tail, lineno)])
         except CorruptRecordError as exc:
-            _log.warning("%s: skipping an unterminated last line (%s)", os.fspath(path), exc)
-    return records
+            _log.warning("%s: skipping an unterminated last line (%s)", name, exc)
+    return chain.from_iterable(chunks)
 
 
 def _pairs(path: str | os.PathLike) -> Iterable[tuple[str, int]]:
@@ -132,8 +131,7 @@ def _pairs(path: str | os.PathLike) -> Iterable[tuple[str, int]]:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise CorruptRecordError(f"{os.fspath(path)}: {exc}") from None
-    scanned = _scan(text)
-    return _parse_lines(text, path) if scanned is None else zip(*scanned)
+    return _read(text, os.fspath(path))
 
 
 def read_records(path: str | os.PathLike) -> list[CacheRecord]:

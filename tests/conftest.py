@@ -9,6 +9,7 @@ the engine.
 from __future__ import annotations
 
 import itertools
+import logging
 import os
 import subprocess
 import sys
@@ -18,7 +19,15 @@ from functools import lru_cache
 import pytest
 
 import stacksort
-from stacksort import Hook, induced_composition, iter_vhc, stack_sort
+from stacksort import (
+    CorruptRecordError,
+    Hook,
+    composition_weight,
+    induced_composition,
+    iter_vhc,
+    stack_sort,
+)
+from stacksort.cache import _parse_line
 
 
 def all_perms(n):
@@ -40,6 +49,11 @@ def image_counts(n):
     """Counter of stack-sort images over S_n: the brute-force fertility of
     any w in S_n is image_counts(n)[w]."""
     return Counter(stack_sort(w) for w in all_perms(n))
+
+
+def table_fertility(comps):
+    """Fertility by the hook-weight sum over distinct induced compositions."""
+    return sum(composition_weight(q) for q in set(comps))
 
 
 def compositions_of(total, parts):
@@ -125,6 +139,23 @@ def interval_rows(w):
             row[a] = acc[a]
         rows.append(row)
     return rows
+
+
+def parse_lines(text, name=""):
+    """Reference reader of a cache file's text, without the bulk pass of
+    ``cache._read``: one ``_parse_line`` call per line that is not empty or a
+    lone ``\\r``, and an unterminated last line that does not parse skipped
+    with the same warning on the same logger."""
+    *lines, tail = text.split("\n")
+    records = [_parse_line(line, i) for i, line in enumerate(lines, start=1)
+               if line not in ("", "\r")]
+    if tail:
+        try:
+            records.append(_parse_line(tail, len(lines) + 1))
+        except CorruptRecordError as exc:
+            logging.getLogger("stacksort.cache").warning(
+                "%s: skipping an unterminated last line (%s)", name, exc)
+    return records
 
 
 def naive_point_colors(p, config):

@@ -36,7 +36,7 @@ from stacksort import (
 )
 from stacksort.cli import _random_matrix, main as cli_main
 from stacksort.hooks import _project
-from conftest import all_perms, compositions_of, image_counts, vhc_table
+from conftest import all_perms, compositions_of, image_counts, table_fertility, vhc_table
 
 P27 = (3, 1, 4, 2, 5, 6, 7)
 P95 = (1, 2, 4, 3, 5, 6, 7)
@@ -60,10 +60,6 @@ def criterion(number, label, limit):
 @pytest.fixture(scope="module")
 def tables8():
     return {n: vhc_table(n) for n in range(1, 9)}
-
-
-def table_fertility(comps):
-    return sum(composition_weight(q) for q in set(comps))
 
 
 def test_criterion_1_cli_sort(capsys):

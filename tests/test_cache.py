@@ -21,8 +21,10 @@ from stacksort import (
     load,
     read_records,
 )
-from stacksort.cache import _parse_line, _parse_lines, _scan, record_line
+from stacksort import cache
+from stacksort.cache import _parse_line, _read, record_line
 from stacksort.perms import is_normalized
+from conftest import parse_lines
 
 
 def test_cache_key_normalizes():
@@ -99,19 +101,28 @@ def test_non_canonical_value_is_corrupt(tmp_path, value):
         read_records(path)
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="0123456789 +-_.e\u0662", max_size=6))
-def test_value_check_is_the_digit_rule(digits):
-    # ASCII digits with no leading zero, "0" itself included
-    canonical = digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0")
-    line = json.dumps({"perm": "1", "fertility": digits}, separators=(",", ":"))
-    try:
-        _parse_line(line, 1)
-    except CorruptRecordError:
-        assert not canonical
-    else:
-        assert canonical
-    assert (_scan(line + "\n") is not None) == canonical
+# Each example is a batch of 10 to 20 strings, about 15 on average. Hypothesis
+# spends most of its time per example, so a batch checks about 15 strings in
+# the time of a few.
+@settings(max_examples=35, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789 +-_.e\u0662", max_size=6), min_size=10, max_size=20))
+def test_value_check_is_the_digit_rule(batch):
+    for digits in batch:
+        # ASCII digits with no leading zero, "0" itself included
+        canonical = digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0")
+        line = json.dumps({"perm": "1", "fertility": digits}, separators=(",", ":"))
+        try:
+            _parse_line(line, 1)
+        except CorruptRecordError:
+            assert not canonical, digits
+        else:
+            assert canonical, digits
+        try:
+            records = _read(line + "\n")
+        except CorruptRecordError:
+            assert not canonical, digits
+        else:
+            assert canonical and list(records) == [("1", int(digits))], digits
 
 
 def test_zero_and_long_values_load(tmp_path):
@@ -141,25 +152,30 @@ def accepts(key) -> bool:
     return True
 
 
-def scans(key) -> bool:
-    """Whether the whole-file path takes the text of one record with this key."""
-    return _scan(record_line(CacheRecord(key, 1)) + "\n") is not None
+def reads(key) -> bool:
+    """Whether the reader takes the text of one record_line line with this key."""
+    try:
+        return list(_read(record_line(CacheRecord(key, 1)) + "\n")) == [(key, 1)]
+    except CorruptRecordError:
+        return False
 
 
-@settings(max_examples=1000, deadline=None)
-@given(st.text(alphabet="0123456789 +-_x,", max_size=14) | st.text(alphabet="123 ", max_size=7))
-def test_key_check_matches_the_integer_check_on_drawn_strings(key):
-    assert accepts(key) == reference_accepts(key) == scans(key)
+@settings(max_examples=50, deadline=None)  # batches, as in the digit-rule test
+@given(st.lists(st.text(alphabet="0123456789 +-_x,", max_size=14)
+                | st.text(alphabet="123 ", max_size=7), min_size=10, max_size=20))
+def test_key_check_matches_the_integer_check_on_drawn_strings(batch):
+    for key in batch:
+        assert accepts(key) == reference_accepts(key) == reads(key), key
 
 
 def test_key_check_matches_the_integer_check_on_permutations_and_malformed_keys():
     rng = random.Random(7)
     keys = [" ".join(map(str, rng.sample(range(1, n + 1), n))) for n in range(31) for _ in range(3)]
-    assert all(accepts(key) and reference_accepts(key) and scans(key) for key in keys)
+    assert all(accepts(key) and reference_accepts(key) and reads(key) for key in keys)
     for raw in ('5', 'null', '["1","2"]', '"1 1"', '"0 1"', '"-1"', '"1  2"', '" 1 2"',
                 '"1 2 "', '"1,2"', '"12"', '"01 2"', '"+1 2"', '"1 x"', '"2 4"', '""'):
         key = json.loads(raw)
-        assert accepts(key) == reference_accepts(key) == scans(key) == (key == "")
+        assert accepts(key) == reference_accepts(key) == reads(key) == (key == "")
 
 
 def test_load_keeps_first_occurrence_order(tmp_path):
@@ -229,11 +245,12 @@ CANONICAL = [record_line(CacheRecord(k, v)) + "\n" for k, v in [
     '{"perm":"2 1","perm":"1 2 3","fertility":"5"}\n', '{"perm":"1 2 3","fertility":"05"}\n',
     '\n', '{"perm":"1 2 3","fertility":"5"}', '{"perm":"1 2 3","fertil'])
 def test_one_odd_line_reads_as_the_line_parser_reads_it(tmp_path, caplog, odd):
-    """A file of record_line lines takes the whole-file path with the line
-    parser's records; one odd line anywhere sends it to the line parser."""
+    """A file of record_line lines, alone or with one odd line anywhere, reads
+    as the reference line parser reads it: the same records, dict, warnings
+    and error text."""
     path = tmp_path / "cache.jsonl"
     text = "".join(CANONICAL)
-    assert list(zip(*_scan(text))) == _parse_lines(text, path)
+    assert list(_read(text)) == parse_lines(text)
 
     def outcome(read):
         caplog.clear()
@@ -241,18 +258,39 @@ def test_one_odd_line_reads_as_the_line_parser_reads_it(tmp_path, caplog, odd):
             got = read()
         except CorruptRecordError as exc:
             got = repr(exc)
-        return got, caplog.text
+        return got, caplog.record_tuples
 
     ats = range(len(CANONICAL) + 1) if odd.endswith("\n") else [len(CANONICAL)]
     for at in ats:
         text = "".join(CANONICAL[:at] + [odd] + CANONICAL[at:])
         path.write_bytes(text.encode("utf-8"))
-        assert _scan(text) is None
         with caplog.at_level(logging.WARNING, logger="stacksort"):
-            want = outcome(lambda: _parse_lines(text, path))
+            want = outcome(lambda: parse_lines(text, os.fspath(path)))
             assert outcome(lambda: read_records(path)) == want
             assert outcome(lambda: load(path)) == (
                 want if isinstance(want[0], str) else (dict(want[0]), want[1]))
+
+
+def test_the_line_parser_reads_only_the_odd_lines(tmp_path, monkeypatch):
+    """Runs of record_line lines are read in bulk: 2,000 of them cost no
+    _parse_line call, and one CRLF line or a torn tail among them costs one."""
+    rng = random.Random(18)
+    lines = []
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        key = " ".join(map(str, rng.sample(range(1, n + 1), n)))
+        lines.append(record_line(CacheRecord(key, rng.randrange(10 ** 30))) + "\n")
+    crlf = lines[:1000] + [lines[1000].replace("\n", "\r\n")] + lines[1001:]
+    torn = lines + ['{"perm":"3 1 4 2 5 6 7","fertil']
+    calls = []
+    monkeypatch.setattr(cache, "_parse_line",
+                        lambda line, lineno: calls.append(lineno) or _parse_line(line, lineno))
+    path = tmp_path / "cache.jsonl"
+    for text, parsed in (("".join(lines), []), ("".join(crlf), [1001]), ("".join(torn), [2001])):
+        path.write_bytes(text.encode("utf-8"))
+        calls.clear()
+        assert read_records(path) == parse_lines(text)
+        assert calls == parsed
 
 
 NOTE = '{"perm":"1","fertility":"1","note":"\u2028\x85"}'
@@ -262,6 +300,8 @@ NOTE = '{"perm":"1","fertility":"1","note":"\u2028\x85"}'
     ('{"perm":"1","fertility":"1"}\x0b\n' + GOOD + "not json\n", 1),
     ('{"perm":"1","fertility":"1"}\r{"perm":"1 2","fertility":"2"}\n', 1),
     (NOTE + "\n\n\r\n" + GOOD.replace("\n", "\r\n") + "not json\n", 6),
+    ("\r\n" + GOOD + "not json\n", 4),
+    (GOOD.replace("\n", "\r\n", 1) + GOOD + '{"perm":"1 1","fertility":"2"}\n', 5),
 ])
 def test_error_line_numbers_are_physical_lines(tmp_path, text, lineno):
     path = tmp_path / "cache.jsonl"

@@ -120,9 +120,8 @@ class TestFertility:
         assert code == 0 and out == ('{"perm": "3 1 4 2 5 6 7", "fertility": null, '
                                      '"method": "both", "exceeded": true}\n')
 
-    def test_early_exit_never_reads_the_cache(self, capsys, tmp_path):
-        # the name predates the one cache path: --early-exit now reads the
-        # record, and an exceeded run leaves a file that holds the word as it was
+    def test_early_exit_reads_the_record_and_leaves_the_file(self, capsys, tmp_path):
+        # an exceeded run leaves a file that holds the word as it was
         path = tmp_path / "cache.jsonl"
         cache_mod.append_records(path, [cache_mod.CacheRecord("3 1 4 2 5 6 7", 27)])
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--early-exit", "20",

@@ -40,15 +40,19 @@ from stacksort import (
 from stacksort import hooks
 from stacksort.hooks import _project, _reduction_candidate
 from stacksort.perms import direct_sum
-from conftest import all_perms, image_counts, interval_rows, naive_point_colors, naive_vhc, vhc_table
+from conftest import (
+    all_perms,
+    image_counts,
+    interval_rows,
+    naive_point_colors,
+    naive_vhc,
+    table_fertility,
+    vhc_table,
+)
 
 P27 = (3, 1, 4, 2, 5, 6, 7)
 P95 = (1, 2, 4, 3, 5, 6, 7)
 BIG = (1, 8, 11, 4, 3, 5, 7, 6, 13, 14, 2, 12, 15, 9, 10, 16)
-
-
-def table_fertility(comps):
-    return sum(composition_weight(q) for q in set(comps))
 
 
 def images(lo, hi):
@@ -246,8 +250,8 @@ class TestFertility:
             assert fertility(tuple(range(1, n + 1))) == catalan(n)
 
 
-class TestIntervalKernel:
-    """The interval recursion against the hook-weight sum and closed forms."""
+class TestHookWeightSum:
+    """fertility() against the hook-weight sum and closed forms."""
 
     def test_matches_hook_weight_sum_through_s8(self):
         for n in range(9):
@@ -266,6 +270,9 @@ class TestIntervalKernel:
         assert fertility(tuple(range(1, 201))) == catalan(200)
         assert fertility(product_witness(interleaved_witness(6), one_mod4_witness(50))) \
             == 119 * 201
+        for f in (729, 2701):
+            w = witness(f).witness
+            assert len(w) > 100 and fertility(w) == f
 
     @settings(max_examples=25, deadline=None)
     @given(images(8, 14), images(4, 12))
@@ -307,17 +314,6 @@ class TestDemandKernel:
             words.append(w)
         for w in words:
             assert hooks._demanded_fertility(w) == table_kernel(w), w
-
-    def test_closed_forms_beyond_n_100(self):
-        demanded = hooks._demanded_fertility
-        assert demanded(even_witness(60)) == 120
-        assert demanded(one_mod4_witness(55)) == 221
-        assert demanded(interleaved_witness(49)) == interleaved_fertility(49)
-        assert demanded(product_witness(interleaved_witness(6), one_mod4_witness(50))) \
-            == 119 * 201
-        for f in (729, 2701):
-            w = witness(f).witness
-            assert len(w) > 100 and demanded(w) == f
 
     def test_sortedness_bits_match_the_table(self):
         rng = random.Random(16)
