@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -48,15 +49,14 @@ def _cmd_sort(args) -> int:
 
 def _cmd_fertility(args) -> int:
     p = parse_permutation(" ".join(args.perm))
-    vhc = brute = None
+    vhc = None  # brute force goes first: an oversized word never reaches the cache or kernel
+    brute = fertility_brute(p, limit=args.max_n) if args.method != "vhc" else None
     if args.method != "brute":
         table = _load_cache(args.cache)
         vhc = table.get(cache_mod.cache_key(p))
         if vhc is None:
             vhc = fertility(p)
             _store_cache(args.cache, {p: vhc}, table)
-    if args.method != "vhc":
-        brute = fertility_brute(p, limit=args.max_n)
     # a zero count is never "exceeded", whatever F
     exceeded = vhc is not None and args.early_exit is not None and vhc > max(args.early_exit, 0)
     reported = brute if args.method == "brute" else vhc
@@ -116,14 +116,7 @@ def _cmd_vhc(args) -> int:
     return 0
 
 
-def _check_jobs(jobs: int) -> None:
-    # the sweeps run in this process, so --jobs is only validated
-    if jobs < 1:
-        raise InvalidArgumentError("jobs must be at least 1")
-
-
 def _cmd_spectrum(args) -> int:
-    _check_jobs(args.jobs)
     table = _load_cache(args.cache)  # a bad cache fails before the sweep and the CSV
     report = search.spectrum(args.n)
     values = sorted(report.achieved)
@@ -146,7 +139,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _check_jobs(args.jobs)
     table = _load_cache(args.cache)
     result = search.classify(args.f, args.max_n, cache=table)
     if result.witness is not None:
@@ -237,14 +229,13 @@ def _cmd_bound_check(args) -> int:
     return 0 if not failures else 1
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and reused by every later one."""
-    global _PARSER
-    if _PARSER is not None:
-        return _PARSER
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stacksort",
         description="Fertilities of permutations under the stack-sorting map.")
@@ -304,18 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-dim", type=int, default=6)
     cmd.add_argument("--max-entry", type=int, default=5)
 
-    _PARSER = parser
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # print fertilities of any length
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:  # only validated: the sweeps run in this process
+            raise InvalidArgumentError("jobs must be at least 1")
         return args.func(args)
-    except StacksortError as exc:
+    except (StacksortError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -290,11 +290,11 @@ def _demanded_fertility(w: Perm) -> int:
     only grow along an increasing run, so a bit new to ``sets[b]`` stays set
     up to the run's last right end, and one span of right ends per new bit
     fills ``cols``. Bit a of ``need[b]`` marks (a, b) as demanded. A
-    right-to-left pass from (0, n) puts all the splits i of each demanded,
-    non-increasing (a, b) into ``need[b - 1]`` at once and sets bit a of
-    each ``need[i]``; a left-to-right pass evaluates the demanded intervals,
-    an increasing one (a >= ``starts[b]``) as ``catalan(b - a)``. All tables
-    live for one call.
+    right-to-left pass from (0, n) puts the splits of all the demanded,
+    non-increasing (a, b) into ``need[b - 1]`` at once, and into each such
+    ``need[i]`` the demanded a in ``sets[i]``; a left-to-right pass
+    evaluates the demanded intervals, an increasing one (a >= ``starts[b]``)
+    as ``catalan(b - a)``. All tables live for one call.
     """
     n = len(w)
     sets, starts, _ = _sortedness(w)
@@ -315,18 +315,18 @@ def _demanded_fertility(w: Perm) -> int:
     need = [0] * (n + 1)  # bit a of need[b]: F(a, b) is demanded
     need[n] = 1
     for b in range(n, 0, -1):
-        r = b - 1
-        row = need[b] & ((1 << starts[b]) - 1)  # the non-increasing ones
-        while row:
-            a = row.bit_length() - 1
-            bit = 1 << a
-            row ^= bit
-            both = sets[r] & cols[a]
-            need[r] |= both
-            while both:
-                i = both.bit_length() - 1
-                need[i] |= bit
-                both ^= 1 << i
+        row = rest = need[b] & ((1 << starts[b]) - 1)  # the non-increasing ones
+        at = 0  # every split of a demanded (a, b)
+        while rest:
+            a = rest.bit_length() - 1
+            rest ^= 1 << a
+            at |= cols[a]
+        at &= sets[b - 1]
+        need[b - 1] |= at
+        while at:
+            i = at.bit_length() - 1
+            at ^= 1 << i
+            need[i] |= row & sets[i]  # the demanded a that i splits
     cat = [1]  # catalan(0 .. longest increasing run so far)
     keys = list(range(n + 1))  # shared left ends: ints past 256 are not cached
     value = [{0: 1}]  # value[b]: a -> F(a, b) for a in need[b]

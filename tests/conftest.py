@@ -66,9 +66,11 @@ def compositions_of(total, parts):
     return out
 
 
+@lru_cache(maxsize=None)
 def stack_sort_recursive(p):
     """Reference stack sort by the recursion s(L m R) = s(L) s(R) m, with m
-    the largest entry; Python recursion limits it to short words."""
+    the largest entry; Python recursion limits it to short words. Memoised,
+    as the factors L and R recur across the words of S_n."""
     word = tuple(p)
     if not word:
         return ()

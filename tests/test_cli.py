@@ -120,6 +120,18 @@ class TestFertility:
         assert code == 0 and out == ('{"perm": "3 1 4 2 5 6 7", "fertility": null, '
                                      '"method": "both", "exceeded": true}\n')
 
+    @pytest.mark.parametrize("method", ["brute", "both"])
+    def test_oversized_word_fails_before_the_cache_and_the_kernel(self, capsys, tmp_path,
+                                                                  monkeypatch, load_calls,
+                                                                  method):
+        kernel_calls = []
+        monkeypatch.setattr(cli, "fertility", kernel_calls.append)
+        path = tmp_path / "cache.jsonl"
+        code, out, err = run(capsys, "fertility", *map(str, range(1, 11)), "--method", method,
+                             "--cache", str(path))
+        assert (code, out, err) == (1, "", "error: length 10 exceeds brute-force limit 9\n")
+        assert not path.exists() and load_calls == [] and kernel_calls == []
+
     def test_early_exit_reads_the_record_and_leaves_the_file(self, capsys, tmp_path):
         # an exceeded run leaves a file that holds the word as it was
         path = tmp_path / "cache.jsonl"
@@ -483,17 +495,18 @@ class TestParserMemo:
         assert cli.build_parser() is cli.build_parser()
 
     def test_import_builds_no_parser(self):
-        assert after_fresh_import("stacksort.cli._PARSER") == (0, "None\n", "")
+        assert after_fresh_import("stacksort.cli._parser.cache_info().currsize") == (0, "0\n", "")
 
-    def test_reuse_matches_a_fresh_parser(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_PARSER", None)
+    def test_reuse_matches_a_fresh_parser(self, capsys):
+        cli._parser.cache_clear()
         reused = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
-        parser = cli._PARSER
+        assert cli._parser.cache_info().misses == 1
+        parser = cli.build_parser()
         fresh = []
         for argv in self.SEQUENCE:
-            monkeypatch.setattr(cli, "_PARSER", None)
+            cli._parser.cache_clear()
             fresh.append(self.outcome(capsys, argv))
-            assert cli._PARSER is not parser
+            assert cli.build_parser() is not parser
         assert reused == fresh
         assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 2]
         assert reused[2][1] == "27\n"
@@ -521,6 +534,18 @@ class TestUsageErrors:
         monkeypatch.setattr(search, "spectrum", broken)
         with pytest.raises(ValueError, match="a bug"):
             main(["spectrum", "3"])
+
+    @pytest.mark.parametrize("argv", [
+        ("fertility", P27_TEXT, "--cache", "{tmp}/missing/cache.jsonl"),
+        ("fertility", P27_TEXT, "--cache", "{tmp}"),
+        ("spectrum", "3", "--csv", "{tmp}/missing/spec.csv"),
+        ("vhc", P27_TEXT, "--svg-out", "{tmp}/file"),
+    ], ids=["cache-in-missing-dir", "cache-is-a-dir", "csv-in-missing-dir", "svg-out-is-a-file"])
+    def test_file_system_errors_are_reported_like_domain_errors(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_bad_flag_reports_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -133,8 +133,8 @@ class TestStackSort:
 
     def test_recursive_equals_iterative_exhaustive(self):
         for n in range(9):
-            for w in all_perms(n):
-                assert stack_sort(w) == stack_sort_recursive(w)
+            words = list(all_perms(n))
+            assert list(map(stack_sort, words)) == list(map(stack_sort_recursive, words)), n
 
     @given(words)
     def test_preserves_entries(self, w):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -30,12 +31,16 @@ from stacksort import search
 from conftest import image_counts, vhc_table
 
 
+# one draw per shape and per row, not per entry: hypothesis pays for every draw
+SHAPES = st.sampled_from([(a, b) for a in range(1, 6) for b in range(1, 6)])
+ROWS = {b: st.sampled_from(list(itertools.product(range(1, 6), repeat=b))) for b in range(1, 6)}
+
+
 @st.composite
 def bound_matrices(draw):
     """A 1..5 x 1..5 matrix of entries 1..5 with a 2..5 in every column."""
-    a, b = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    row = st.lists(st.integers(1, 5), min_size=b, max_size=b)
-    rows = draw(st.lists(row, min_size=a, max_size=a))
+    a, b = draw(SHAPES)
+    rows = [list(draw(ROWS[b])) for _ in range(a)]
     for j in range(b):
         if all(r[j] == 1 for r in rows):
             rows[draw(st.integers(0, a - 1))][j] = draw(st.integers(2, 5))
