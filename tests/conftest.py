@@ -143,6 +143,29 @@ def interval_rows(w):
     return rows
 
 
+def level_tables(n_max):
+    """Reference level tables: ``tables[n]`` maps every sorted word of S_n,
+    as a tuple, to its fertility, for n = 0 .. n_max. It builds each word of
+    S_n as u(A) v(B) n, as ``search._levels`` does, but relabels the patterns
+    entry by entry into tuples, with no ``bytes`` keys or translate tables."""
+    tables = [{(): 1}]
+    for n in range(1, n_max + 1):
+        table = {}
+        letters = range(1, n)
+        for k in range(n):
+            for a in itertools.combinations(letters, k):
+                b = [x for x in letters if x not in a]
+                lefts = [(tuple([a[x - 1] for x in u]), fu) for u, fu in tables[k].items()]
+                rights = [(tuple([b[x - 1] for x in v]) + (n,), fv)
+                          for v, fv in tables[n - 1 - k].items()]
+                for u, fu in lefts:
+                    for v, fv in rights:
+                        w = u + v
+                        table[w] = table.get(w, 0) + fu * fv
+        tables.append(table)
+    return tables
+
+
 def parse_lines(text, name=""):
     """Reference reader of a cache file's text, without the bulk pass of
     ``cache._read``: one ``_parse_line`` call per line that is not empty or a

@@ -191,6 +191,13 @@ def test_audit_accepts_true_values(tmp_path):
     assert audit(path) == 2
 
 
+def test_audit_reads_the_empty_word_and_two_digit_letters(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    append_records(path, [CacheRecord("", 1), CacheRecord(cache_key(range(1, 11)), 16796),
+                          CacheRecord("2 1 3 4 5 6 7 8 9 10 12 11", 0)])
+    assert audit(path) == 3
+
+
 def test_audit_detects_a_wrong_value(tmp_path):
     path = tmp_path / "cache.jsonl"
     append_records(path, [CacheRecord("3 1 4 2 5 6 7", 26)])

@@ -28,7 +28,7 @@ from stacksort import (
     witness,
 )
 from stacksort import search
-from conftest import image_counts, vhc_table
+from conftest import image_counts, level_tables, vhc_table
 
 
 # one draw per shape and per row, not per entry: hypothesis pays for every draw
@@ -49,8 +49,9 @@ def bound_matrices(draw):
 
 @pytest.fixture(scope="module")
 def levels():
-    """n -> level table of S_n, for n = 1 .. 10."""
-    return dict(search._levels(10))
+    """n -> level table of S_n, for n = 1 .. 10, keyed by tuples."""
+    return {n: {tuple(w): value for w, value in table.items()}
+            for n, table in search._levels(10)}
 
 
 class TestLevels:
@@ -64,6 +65,11 @@ class TestLevels:
         sample = random.Random(10).sample(sorted(levels[10]), 200)
         for w in sample:
             assert fertility(w) == levels[10][w]
+
+    def test_tables_equal_the_tuple_reference(self, levels):
+        reference = level_tables(9)
+        for n in range(1, 10):
+            assert levels[n] == reference[n], n
 
     def test_count_check_raises(self, monkeypatch):
         monkeypatch.setattr(search, "factorial", lambda n: math.factorial(n) + (n == 4))
@@ -119,6 +125,17 @@ class TestSpectrum:
                 least.setdefault(fertility(w), w)
             least.pop(0, None)
             assert spectrum(n).witnesses == least
+
+    def test_witnesses_in_tuple_order_past_letter_9(self, levels):
+        least = {}
+        for w in sorted(levels[10]):
+            least.setdefault(levels[10][w], w)
+        assert list(spectrum(10).witnesses.items()) == sorted(least.items())
+
+    def test_witnesses_are_tuples(self):
+        # bytes keys stay inside the search layer: not in results, CLI text or cache files
+        assert all(type(w) is tuple for w in spectrum(8).witnesses.values())
+        assert type(classify(123, 7).witness) is tuple
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceededError):
