@@ -8,7 +8,9 @@ take an exclusive lock on the file, reads a shared one. A line ends at
 ``\r`` are skipped. A crash in the middle of an append can leave an
 unterminated last line: reads skip it with a warning on the ``stacksort``
 logger, and the next append cuts it off. Reads take runs of the lines
-:func:`record_line` writes in bulk, and every other line one at a time.
+:func:`record_line` writes in bulk, and every other line one at a time. Both
+ways test a key with :func:`_is_key` and a value with ``_VALUE``, the one
+statement of each rule.
 """
 from __future__ import annotations
 
@@ -49,20 +51,23 @@ def _alphabet(n: int) -> frozenset[str]:
     return frozenset(map(str, range(1, n + 1)))
 
 
+def _is_key(text: str) -> bool:
+    """Whether ``text`` is the canonical key of a permutation of 1..n: n tokens that
+    are, as a set, "1" .. str(n), so no duplicate, zero, sign, leading zero or stray space."""
+    tokens = text.split(" ") if text else ()
+    return set(tokens) == _alphabet(len(tokens))
+
+
+_VALUE = "0|[1-9][0-9]*"  # the text of a nonnegative count, as record_line writes it
 # a line as record_line writes it, at a line start and ended by "\n"; groups: key, value
-_RECORD = re.compile(r'(?m)^\{"perm":"([0-9 ]*)","fertility":"(0|[1-9][0-9]*)"\}\n')
+_RECORD = re.compile(r'(?m)^\{"perm":"([0-9 ]*)","fertility":"(' + _VALUE + r')"\}\n')
 
 
 def _parse_line(line: str, lineno: int) -> CacheRecord:
-    """One record; a key that is not the canonical text of a permutation of
-    1..n, or a value that is not the text :func:`record_line` writes for a
-    nonnegative count, is a :class:`CorruptRecordError`.
-
-    n tokens that are, as a set, the n texts "1" .. str(n) are exactly such a
-    key: no duplicate, zero, sign, leading zero or stray space gets through.
-    Such a value is a JSON string of ASCII digits with no leading zero unless
-    it is "0". A canonical value with more digits than the interpreter's
-    limit is a :class:`SizeLimitExceededError`.
+    """One record; a key that fails :func:`_is_key`, or a value that is not a
+    JSON string matching ``_VALUE``, is a :class:`CorruptRecordError`. A
+    canonical value with more digits than the interpreter's limit is a
+    :class:`SizeLimitExceededError`.
     """
     try:
         obj = json.loads(line)
@@ -71,10 +76,7 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
             raise TypeError(f"perm is {type(text).__name__}, not text")
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptRecordError(f"line {lineno}: {exc}") from None
-    tokens = text.split(" ") if text else ()
-    if (set(tokens) != _alphabet(len(tokens)) or type(digits) is not str
-            or not (digits.isascii() and digits.isdigit())
-            or (digits[0] == "0" and digits != "0")):
+    if not _is_key(text) or type(digits) is not str or not re.fullmatch(_VALUE, digits):
         raise CorruptRecordError(f"line {lineno}: non-canonical record {line!r}")
     try:
         value = int(digits)
@@ -100,10 +102,8 @@ def _read(text: str, name: str = "") -> Iterable[tuple[str, int]]:
         run_keys, run_values = parts[run:gap:3], parts[run + 1:gap:3]
         *lines, tail = parts[gap].split("\n")  # only the last gap can have a tail
         try:
-            for key in run_keys:  # the token-set check of _parse_line
-                tokens = key.split(" ") if key else ()
-                if set(tokens) != _alphabet(len(tokens)):
-                    raise ValueError(key)
+            if not all(map(_is_key, run_keys)):
+                raise ValueError
             chunks.append(zip(run_keys, list(map(int, run_values))))
         except ValueError:  # parse the run's lines instead: that raises at the first bad one
             lines[:0] = map('{{"perm":"{}","fertility":"{}"}}'.format, run_keys, run_values)

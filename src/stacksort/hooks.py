@@ -109,21 +109,20 @@ def iter_vhc(p: Sequence[int]) -> Iterator[HookConfig]:
         return t >= k or ds[t] >= stop or bool(sets[stop - 1] >> (ds[t] - 1) & 1)
 
     def choices(t: int, bounds: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-        # bounds are the open northeast columns, innermost last
+        # bounds: n + 1, then the open northeast columns, innermost last
         d = ds[t]
-        while bounds and bounds[-1] <= d:
+        while bounds[-1] <= d:
             bounds = bounds[:-1]  # hooks ending at or before d no longer bind
-        limit = bounds[-1] if bounds else n + 1
         j = up[d]
-        while j < limit:
-            if hookable(t + 1, j) and hookable(bisect(ds, j - 1), limit):
+        while j < bounds[-1]:
+            if hookable(t + 1, j) and hookable(bisect(ds, j - 1), bounds[-1]):
                 yield j, bounds + (j,)
             j = up[j]
 
     # One generator per descent on an explicit stack: a word may have
     # hundreds of descents.
     chosen: list[Hook] = []
-    stack = [choices(0, ())]
+    stack = [choices(0, (n + 1,))]
     while stack:
         for j, bounds in stack[-1]:
             chosen.append(Hook(ds[len(chosen)], j))
@@ -250,17 +249,16 @@ def _sortedness(w: Perm) -> tuple[list[int], list[int], list[int]]:
     Along an increasing run the sets only grow (a sorted ``w[a:r]`` before a
     larger w[r] is a split with an empty right part), so the union is kept
     and extended by the bits new to ``sets[r]``; each step then costs a few
-    big-integer operations on the witness families. ``starts[b]`` is the
-    first index of the increasing run ending at w[b - 1], so ``w[a:b]`` is
-    increasing exactly when a >= starts[b]. ``up[c]`` is the first 1-based
-    column right of column c with a larger entry, or n + 1.
+    big-integer operations on the witness families. ``starts[b]`` is the first index
+    of the increasing run ending at w[b - 1], so ``w[a:b]`` is increasing exactly when
+    a >= starts[b], and the run has two or more entries exactly when starts[b] < b - 1.
+    ``up[c]`` is the first 1-based column right of column c with a larger entry, or n + 1.
     """
     n = len(w)
     sets = [1]
     starts = [0] * (n + 1)
     up = [n + 1] * (n + 1)
     stack: list[int] = []  # columns still waiting for a larger entry
-    rs = 0  # first index of the increasing run ending at w[r]
     union = 0  # OR of sets[i] over i in sets[r]
     for b, v in enumerate(w, start=1):
         r = b - 1
@@ -268,9 +266,8 @@ def _sortedness(w: Perm) -> tuple[list[int], list[int], list[int]]:
             up[stack.pop()] = b
         lo = stack[-1] if stack else 0
         stack.append(b)
-        rs = rs if r and w[r - 1] < v else r
-        starts[b] = rs
-        if r >= 2 and w[r - 2] < w[r - 1]:  # sets[r - 1] is a subset of sets[r]
+        starts[b] = starts[r] if r and w[r - 1] < v else r
+        if starts[r] < r - 1:  # sets[r - 1] is a subset of sets[r]
             fresh = sets[r] & ~sets[r - 1]
         else:
             fresh, union = sets[r], 0
@@ -303,7 +300,7 @@ def _demanded_fertility(w: Perm) -> int:
     cols = [0] * (n + 1)  # bit b of cols[a] is bit a of sets[b]
     end = n  # last right end of the increasing run that holds b
     for b in range(n, -1, -1):
-        grows = b >= 2 and w[b - 2] < w[b - 1]
+        grows = starts[b] < b - 1
         new = sets[b] & ~sets[b - 1] if grows else sets[b]
         span = (2 << end) - (1 << b)
         while new:

@@ -44,12 +44,14 @@ def test_import_leaves_dataclasses_unloaded():
 
 
 def test_entry_points():
-    # `python -m stacksort` runs __main__.py, which exits through cli.main_entry;
-    # the three interpreters start at once to keep the test short
-    runs = [in_new_interpreter("-m", "stacksort", *argv)
-            for argv in (["sort", "4162"], ["classify", "3", "--max-n", "0"], ["no-such-command"])]
-    ok, failed, unknown = (outcome(process) for process in runs)
-    assert ok == (0, "1426\n", "")
+    # `python -m stacksort` runs __main__.py, which exits through cli.main_entry, and
+    # `python -m stacksort.cli` runs cli.py's own main block; the four interpreters
+    # start at once to keep the test short
+    runs = [in_new_interpreter("-m", *argv) for argv in (
+        ["stacksort", "sort", "4162"], ["stacksort.cli", "sort", "4162"],
+        ["stacksort", "classify", "3", "--max-n", "0"], ["stacksort", "no-such-command"])]
+    ok, ok_cli, failed, unknown = (outcome(process) for process in runs)
+    assert ok == ok_cli == (0, "1426\n", "")
     assert failed == (1, "", "error: n_max must be positive\n")
     assert unknown[:2] == (2, "") and "invalid choice: 'no-such-command'" in unknown[2]
 

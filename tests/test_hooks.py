@@ -109,12 +109,16 @@ class TestEnumeration:
                 assert list(iter_vhc(w)) == naive_vhc(w), w
 
     def test_next_greater_chain_matches_naive(self):
-        # iter_vhc walks this chain for hook ends: a wrong link skips hooks or never ends
+        # iter_vhc walks this chain for hook ends: a wrong link skips hooks or never ends;
+        # both kernel phases read their increasing-run test from the run starts
         rng = random.Random(10)
         words = [w for n in range(1, 8) for w in all_perms(n)]
         words += [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(10, 61)]
         for w in words:
-            assert hooks._sortedness(w)[2][1:] == naive_next_greater(w), w
+            _, starts, up = hooks._sortedness(w)
+            assert up[1:] == naive_next_greater(w), w
+            assert starts == [next(a for a in range(b + 1) if list(w[a:b]) == sorted(w[a:b]))
+                              for b in range(len(w) + 1)], w
 
     @settings(max_examples=25, deadline=None)
     @given(images(10, 12))
