@@ -7,87 +7,65 @@ paper's formula for the same count, used as a cross-check), checks the count
 against a brute-force oracle, constructs witnesses for prescribed
 fertilities and searches symmetric groups for attainable values.
 
+``import stacksort`` loads no submodule: each name below is imported from
+its submodule on first access (PEP 562), so a caller pays only for the
+modules it uses. The submodules themselves are attributes as well.
+
 Diagnostics go to the ``stacksort`` logger, which is silent unless the
 application configures logging.
 """
-import logging
+import importlib
 
-from .cache import CacheRecord, append_records, audit, cache_key, load, read_records
-from .errors import (
-    CorruptRecordError,
-    DuplicateEntryError,
-    HypothesisViolatedError,
-    InvalidArgumentError,
-    LastEntryNotMaxError,
-    LengthMismatchError,
-    NonPositiveEntryError,
-    NotNormalizedError,
-    NotStationaryError,
-    PreconditionFailedError,
-    ReductionNotFoundError,
-    SizeLimitExceededError,
-    StacksortError,
-    SumMismatchError,
-    UnsortedPermutationError,
-    VerificationFailedError,
-)
-from .families import (
-    WitnessReport,
-    even_witness,
-    interleaved_fertility,
-    interleaved_witness,
-    one_mod4_witness,
-    product_witness,
-    witness,
-)
-from .hooks import (
-    Composition,
-    Hook,
-    HookConfig,
-    catalan,
-    composition_weight,
-    enumerate_vhc,
-    factor_at_hook,
-    fertility,
-    induced_composition,
-    interval_dominates,
-    is_sorted,
-    iter_vhc,
-    point_colors,
-    reduce_stationary,
-    stationary_hooks,
-    valid_compositions,
-)
-from .oracle import BRUTE_FORCE_LIMIT, fertility_brute, fertility_histogram, preimages
-from .perms import (
-    Perm,
-    bracket,
-    descents,
-    direct_sum,
-    drop_final_max,
-    is_normalized,
-    normalize,
-    parse_permutation,
-    perm_text,
-    stack_sort,
-)
-from .search import (
-    SWEEP_LIMIT,
-    VERDICT_FERTILE,
-    VERDICT_PROVEN_INFERTILE,
-    VERDICT_UNKNOWN,
-    ClassifyResult,
-    DensityBound,
-    SpectrumReport,
-    classify,
-    density_lower_bound,
-    matrix_bound_holds,
-    nd_fd,
-    small_odd_status,
-    spectrum,
-)
-from .svg import render_svg
+_EXPORTS = {
+    "cache": ("CacheRecord", "append_records", "audit", "cache_key", "load", "read_records"),
+    "errors": (
+        "CorruptRecordError", "DuplicateEntryError", "HypothesisViolatedError",
+        "InvalidArgumentError", "LastEntryNotMaxError", "LengthMismatchError",
+        "NonPositiveEntryError", "NotNormalizedError", "NotStationaryError",
+        "PreconditionFailedError", "ReductionNotFoundError", "SizeLimitExceededError",
+        "StacksortError", "SumMismatchError", "UnsortedPermutationError",
+        "VerificationFailedError",
+    ),
+    "families": (
+        "WitnessReport", "even_witness", "interleaved_fertility", "interleaved_witness",
+        "one_mod4_witness", "product_witness", "witness",
+    ),
+    "hooks": (
+        "Composition", "Hook", "HookConfig", "catalan", "composition_weight", "enumerate_vhc",
+        "factor_at_hook", "fertility", "induced_composition", "interval_dominates",
+        "is_sorted", "iter_vhc", "point_colors", "reduce_stationary", "stationary_hooks",
+        "valid_compositions",
+    ),
+    "oracle": ("BRUTE_FORCE_LIMIT", "fertility_brute", "fertility_histogram", "preimages"),
+    "perms": (
+        "Perm", "bracket", "descents", "direct_sum", "drop_final_max", "is_normalized",
+        "normalize", "parse_permutation", "perm_text", "stack_sort",
+    ),
+    "search": (
+        "SWEEP_LIMIT", "VERDICT_FERTILE", "VERDICT_PROVEN_INFERTILE", "VERDICT_UNKNOWN",
+        "ClassifyResult", "DensityBound", "SpectrumReport", "classify", "density_lower_bound",
+        "matrix_bound_holds", "nd_fd", "small_odd_status", "spectrum",
+    ),
+    "svg": ("render_svg",),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
 
-logging.getLogger(__name__).addHandler(logging.NullHandler())
-
+__all__ = list(_SOURCE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import an exported name or a submodule on first access, then bind it here."""
+    if name in _SOURCE:
+        value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

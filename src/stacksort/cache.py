@@ -28,6 +28,8 @@ from .hooks import fertility
 from .perms import normalize, perm_text
 
 _log = logging.getLogger(__name__)
+# the package's logger is silent unless the application configures logging
+logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 
 class CacheRecord(NamedTuple):

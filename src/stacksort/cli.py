@@ -1,16 +1,18 @@
-"""Command-line surface. Every subcommand is a thin adapter over the library."""
+"""Command-line surface. Every subcommand is a thin adapter over the library.
+
+A command imports only the modules it runs: ``cache`` when ``--cache`` is
+given, ``search`` in the sweeps and the bound check, ``svg``, ``csv`` and
+``random`` for the options that need them.
+"""
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
-import random
 import sys
 
-from . import cache as cache_mod
-from . import families, search, svg
+from . import families
 from .errors import InvalidArgumentError, StacksortError
 from .hooks import enumerate_vhc, fertility, induced_composition, valid_compositions
 from .oracle import BRUTE_FORCE_LIMIT, fertility_brute, preimages
@@ -22,19 +24,23 @@ def _canon(p: Perm) -> str:
 
 
 def _load_cache(path: str | None) -> dict[str, int]:
-    return cache_mod.load(path) if path else {}
+    if not path:
+        return {}
+    from . import cache
+    return cache.load(path)
 
 
 def _store_cache(path: str | None, entries: dict[Perm, int], known: dict[str, int]) -> None:
     """Append the entries that ``known``, the table loaded from ``path``, lacks."""
     if not path:
         return
+    from . import cache
     fresh = []
     for perm, value in entries.items():
-        key = cache_mod.cache_key(perm)
+        key = cache.cache_key(perm)
         if known.get(key) != value:
-            fresh.append(cache_mod.CacheRecord(key, value))
-    cache_mod.append_records(path, fresh)
+            fresh.append(cache.CacheRecord(key, value))
+    cache.append_records(path, fresh)
 
 
 def _cmd_sort(args) -> int:
@@ -53,7 +59,9 @@ def _cmd_fertility(args) -> int:
     brute = fertility_brute(p, limit=args.max_n) if args.method != "vhc" else None
     if args.method != "brute":
         table = _load_cache(args.cache)
-        vhc = table.get(cache_mod.cache_key(p))
+        if table:  # no key to build for an empty table, or with no --cache at all
+            from .cache import cache_key
+            vhc = table.get(cache_key(p))
         if vhc is None:
             vhc = fertility(p)
             _store_cache(args.cache, {p: vhc}, table)
@@ -97,7 +105,8 @@ def _cmd_vhc(args) -> int:
     configs = enumerate_vhc(p)
     comps = [induced_composition(p, c) for c in configs]
     if args.svg_out:
-        docs = svg.render_svg(p, configs)  # raises before the directory exists
+        from .svg import render_svg
+        docs = render_svg(p, configs)  # raises before the directory exists
         os.makedirs(args.svg_out, exist_ok=True)
         stem = "-".join(str(x) for x in p) or "empty"
         for ordinal, doc in enumerate(docs, start=1):
@@ -117,10 +126,12 @@ def _cmd_vhc(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import search
     table = _load_cache(args.cache)  # a bad cache fails before the sweep and the CSV
     report = search.spectrum(args.n)
     values = sorted(report.achieved)
     if args.csv:
+        import csv
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["value", "witness"])
@@ -139,6 +150,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import search
     table = _load_cache(args.cache)
     result = search.classify(args.f, args.max_n, cache=table)
     if result.witness is not None:
@@ -172,6 +184,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import search
     count, ratio = search.density_lower_bound(args.n)
     if args.json:
         print(json.dumps({"n": args.n, "count": str(count), "ratio": f"{ratio}"}))
@@ -181,7 +194,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _random_matrix(rng: random.Random, max_dim: int, max_entry: int) -> list[list[int]]:
+def _random_matrix(rng, max_dim: int, max_entry: int) -> list[list[int]]:
     a = rng.randint(1, max_dim)
     b = rng.randint(1, max_dim)
     rows = [[rng.randint(1, max_entry) for _ in range(b)] for _ in range(a)]
@@ -202,6 +215,7 @@ def _cmd_bound_check(args) -> int:
     if args.random:
         if args.max_dim < 1 or args.max_entry < 2:
             raise InvalidArgumentError("--random needs --max-dim >= 1 and --max-entry >= 2")
+        import random
         rng = random.Random(args.seed)
         matrices.extend(_random_matrix(rng, args.max_dim, args.max_entry)
                         for _ in range(args.random))
@@ -212,6 +226,7 @@ def _cmd_bound_check(args) -> int:
         matrices.insert(0, [list(q) for q in comps])
     if not matrices:
         raise StacksortError("nothing to check: give a matrix, --perm or --random")
+    from . import search
     failures = []
     for m in matrices:
         if not search.matrix_bound_holds(m):

@@ -24,7 +24,7 @@ from stacksort import (
 from stacksort import cache
 from stacksort.cache import _parse_line, _read, record_line
 from stacksort.perms import is_normalized
-from conftest import parse_lines
+from conftest import in_new_interpreter, outcome, parse_lines
 
 
 def test_cache_key_normalizes():
@@ -214,6 +214,22 @@ def test_torn_last_line_is_skipped_with_a_warning(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="stacksort"):
         assert load(path) == {"1 2": 2, "2 1": 0}
     assert "unterminated last line" in caplog.text
+
+
+def test_torn_last_line_warning_reaches_only_configured_logging(tmp_path):
+    # the package's NullHandler keeps the record from logging.lastResort, which
+    # would print it on stderr when the application configures no logging
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + '{"perm":"3 1 4 2 5 6 7","fertil')
+    argv = ["fertility", "12", "--cache", str(path)]  # a hit: the file is only read
+    silent = in_new_interpreter("-m", "stacksort", *argv)
+    configured = in_new_interpreter("-c", "import logging, sys; from stacksort import cli; "
+                                    "logging.basicConfig(); sys.exit(cli.main(sys.argv[1:]))",
+                                    *argv)
+    assert outcome(silent) == (0, "2\n", "")
+    code, out, err = outcome(configured)
+    assert (code, out) == (0, "2\n")
+    assert err.startswith("WARNING:stacksort.cache:") and "unterminated last line" in err
 
 
 def test_unterminated_good_last_line_is_kept(tmp_path):

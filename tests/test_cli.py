@@ -43,6 +43,34 @@ def test_import_leaves_dataclasses_unloaded():
     assert after_fresh_import("'dataclasses' in sys.modules") == (0, "False\n", "")
 
 
+# modules that only some commands run, or that only they import
+DEFERRED = ("stacksort.cache", "stacksort.search", "stacksort.svg", "logging", "fractions",
+            "decimal", "csv", "fcntl")
+LOADED_AFTER = f"""
+import contextlib, io, sys
+from stacksort import cli
+
+for command in [None, *sys.argv[1:]]:
+    if command:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(command.split()):
+                sys.exit(f"{{command}} failed")
+    print(" ".join(m for m in {DEFERRED!r} if m in sys.modules))
+"""
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    steps = ["fertility 3142567", "construct 27", "vhc 3142567", "spectrum 5",
+             f"fertility 12 --cache {cache}"]
+    code, out, err = outcome(in_new_interpreter("-c", LOADED_AFTER, *steps))
+    assert (code, err) == (0, "")
+    imported, *after = [set(line.split()) for line in out.splitlines()]
+    assert imported == after[0] == after[1] == after[2] == set()
+    assert "stacksort.search" in after[3] and "stacksort.cache" not in after[3]
+    assert {"stacksort.cache", "logging", "fcntl"} <= after[4]
+
+
 def test_entry_points():
     # `python -m stacksort` runs __main__.py, which exits through cli.main_entry, and
     # `python -m stacksort.cli` runs cli.py's own main block; the four interpreters
