@@ -1,14 +1,17 @@
 """Command-line surface. Every subcommand is a thin adapter over the library.
 
+A command returns its exit code, its ``--json`` object and its text lines,
+and prints nothing: ``main`` prints one or the other.
+
 A command imports only the modules it runs: ``cache`` when ``--cache`` is
 given, ``search`` in the sweeps and the bound check, ``svg``, ``csv`` and
-``random`` for the options that need them.
+``random`` for the options that need them, and ``main`` imports ``json``
+only under ``--json``.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -43,17 +46,13 @@ def _store_cache(path: str | None, entries: dict[Perm, int], known: dict[str, in
     cache.append_records(path, fresh)
 
 
-def _cmd_sort(args) -> int:
+def _cmd_sort(args):
     p = parse_permutation(" ".join(args.perm))
     out = stack_sort(p)
-    if args.json:
-        print(json.dumps({"perm": _canon(p), "sorted": _canon(out)}))
-    else:
-        print(perm_text(out))
-    return 0
+    return 0, {"perm": _canon(p), "sorted": _canon(out)}, [perm_text(out)]
 
 
-def _cmd_fertility(args) -> int:
+def _cmd_fertility(args):
     p = parse_permutation(" ".join(args.perm))
     vhc = None  # brute force goes first: an oversized word never reaches the cache or kernel
     brute = fertility_brute(p, limit=args.max_n) if args.method != "vhc" else None
@@ -69,38 +68,27 @@ def _cmd_fertility(args) -> int:
     exceeded = vhc is not None and args.early_exit is not None and vhc > max(args.early_exit, 0)
     reported = brute if args.method == "brute" else vhc
     disagree = args.method == "both" and not exceeded and vhc != brute
-    if args.json:
-        obj = {"perm": _canon(p),
-               "fertility": None if exceeded else str(reported),
-               "method": args.method}
-        if exceeded:
-            obj["exceeded"] = True
-        print(json.dumps(obj))
-    elif args.method == "both":
-        print(f"vhc {'exceeded' if exceeded else vhc}")
-        print(f"brute {brute}")
+    obj = {"perm": _canon(p), "fertility": None if exceeded else str(reported),
+           "method": args.method}
+    if exceeded:
+        obj["exceeded"] = True
+    if args.method == "both":
+        lines = [f"vhc {'exceeded' if exceeded else vhc}", f"brute {brute}"]
         if not exceeded:
-            print("disagree" if disagree else "agree")
-    elif exceeded:
-        print(f"exceeded {args.early_exit}")
+            lines.append("disagree" if disagree else "agree")
     else:
-        print(reported)
-    return 1 if disagree else 0
+        lines = [f"exceeded {args.early_exit}" if exceeded else obj["fertility"]]
+    return 1 if disagree else 0, obj, lines
 
 
-def _cmd_preimages(args) -> int:
+def _cmd_preimages(args):
     p = parse_permutation(" ".join(args.perm))
     members = sorted(preimages(p, limit=args.max_n))
-    if args.json:
-        print(json.dumps({"perm": _canon(p), "count": len(members),
-                          "preimages": [_canon(w) for w in members]}))
-    else:
-        for w in members:
-            print(perm_text(w))
-    return 0
+    obj = {"perm": _canon(p), "count": len(members), "preimages": [_canon(w) for w in members]}
+    return 0, obj, [perm_text(w) for w in members]
 
 
-def _cmd_vhc(args) -> int:
+def _cmd_vhc(args):
     p = parse_permutation(" ".join(args.perm))
     configs = enumerate_vhc(p)
     comps = [induced_composition(p, c) for c in configs]
@@ -113,19 +101,16 @@ def _cmd_vhc(args) -> int:
             with open(os.path.join(args.svg_out, f"{stem}-vhc-{ordinal:03d}.svg"),
                       "w", encoding="utf-8") as fh:
                 fh.write(doc)
-    if args.json:
-        print(json.dumps({"perm": _canon(p), "count": len(configs),
-                          "compositions": [list(q) for q in comps]}))
-    else:
-        print(f"count {len(configs)}")
-        for ordinal, (config, q) in enumerate(zip(configs, comps), start=1):
-            hooks = " ".join(f"({h.sw},{h.ne})" for h in config) or "-"
-            comp = "(" + ",".join(str(x) for x in q) + ")"
-            print(f"{ordinal} hooks {hooks} composition {comp}")
-    return 0
+    lines = [f"count {len(configs)}"]
+    for ordinal, (config, q) in enumerate(zip(configs, comps), start=1):
+        hooks = " ".join(f"({h.sw},{h.ne})" for h in config) or "-"
+        comp = "(" + ",".join(str(x) for x in q) + ")"
+        lines.append(f"{ordinal} hooks {hooks} composition {comp}")
+    obj = {"perm": _canon(p), "count": len(configs), "compositions": [list(q) for q in comps]}
+    return 0, obj, lines
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     from . import search
     table = _load_cache(args.cache)  # a bad cache fails before the sweep and the CSV
     report = search.spectrum(args.n)
@@ -138,60 +123,41 @@ def _cmd_spectrum(args) -> int:
             for v in values:
                 writer.writerow([v, _canon(report.witnesses[v])])
     _store_cache(args.cache, {w: v for v, w in report.witnesses.items()}, table)
-    if args.json:
-        print(json.dumps({"n": report.n, "achieved": [str(v) for v in values],
-                          "witnesses": {str(v): _canon(report.witnesses[v]) for v in values}}))
-    else:
-        print(f"n {report.n}")
-        print("achieved " + " ".join(str(v) for v in values))
-        for v in values:
-            print(f"{v} {perm_text(report.witnesses[v])}")
-    return 0
+    obj = {"n": report.n, "achieved": [str(v) for v in values],
+           "witnesses": {str(v): _canon(report.witnesses[v]) for v in values}}
+    return 0, obj, [f"n {report.n}", "achieved " + " ".join(obj["achieved"]),
+                    *(f"{v} {perm_text(report.witnesses[v])}" for v in values)]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     from . import search
     table = _load_cache(args.cache)
     result = search.classify(args.f, args.max_n, cache=table)
     if result.witness is not None:
         _store_cache(args.cache, {result.witness: result.f}, table)
-    if args.json:
-        obj = {"f": str(result.f), "verdict": result.verdict, "searched_n": result.searched_n}
-        if result.witness is not None:
-            obj["witness"] = _canon(result.witness)
-        print(json.dumps(obj))
-    else:
-        print(f"f {result.f}")
-        print(f"verdict {result.verdict}")
-        if result.witness is not None:
-            print(f"witness {perm_text(result.witness)}")
-        print(f"searched_n {result.searched_n}")
-    return 0
+    obj = {"f": str(result.f), "verdict": result.verdict, "searched_n": result.searched_n}
+    lines = [f"f {result.f}", f"verdict {result.verdict}"]
+    if result.witness is not None:
+        obj["witness"] = _canon(result.witness)
+        lines.append(f"witness {perm_text(result.witness)}")
+    return 0, obj, [*lines, f"searched_n {result.searched_n}"]
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     report = families.witness(args.f)
-    if args.json:
-        obj = {"f": str(report.target_fertility), "method": report.method,
-               "witness": _canon(report.witness) if report.witness is not None else None}
-        print(json.dumps(obj))
-    else:
-        print(f"f {report.target_fertility}")
-        print(f"method {report.method}")
-        if report.witness is not None:
-            print(f"witness {perm_text(report.witness)}")
-    return 0
+    obj = {"f": str(report.target_fertility), "method": report.method, "witness": None}
+    lines = [f"f {report.target_fertility}", f"method {report.method}"]
+    if report.witness is not None:
+        obj["witness"] = _canon(report.witness)
+        lines.append(f"witness {perm_text(report.witness)}")
+    return 0, obj, lines
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args):
     from . import search
     count, ratio = search.density_lower_bound(args.n)
-    if args.json:
-        print(json.dumps({"n": args.n, "count": str(count), "ratio": f"{ratio}"}))
-    else:
-        print(f"count {count}")
-        print(f"ratio {ratio}")
-    return 0
+    obj = {"n": args.n, "count": str(count), "ratio": f"{ratio}"}
+    return 0, obj, [f"count {count}", f"ratio {ratio}"]
 
 
 def _random_matrix(rng, max_dim: int, max_entry: int) -> list[list[int]]:
@@ -204,7 +170,7 @@ def _random_matrix(rng, max_dim: int, max_entry: int) -> list[list[int]]:
     return rows
 
 
-def _cmd_bound_check(args) -> int:
+def _cmd_bound_check(args):
     p = parse_permutation(args.perm) if args.perm else None
     matrices: list[list[list[int]]] = []
     for row_text in args.rows or []:
@@ -231,17 +197,9 @@ def _cmd_bound_check(args) -> int:
     for m in matrices:
         if not search.matrix_bound_holds(m):
             failures.append(m)
-    if args.json:
-        print(json.dumps({"checked": len(matrices), "all_hold": not failures,
-                          "failures": failures}))
-    else:
-        print(f"checked {len(matrices)}")
-        if failures:
-            for m in failures:
-                print(f"violated {m}")
-        else:
-            print("all hold")
-    return 0 if not failures else 1
+    obj = {"checked": len(matrices), "all_hold": not failures, "failures": failures}
+    lines = [f"violated {m}" for m in failures] or ["all hold"]
+    return 1 if failures else 0, obj, [f"checked {len(matrices)}", *lines]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,13 +272,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and print what it returns: its ``--json`` object or its
+    text lines. A domain or file-system error, also one raised while printing,
+    ends as one ``error:`` line on stderr and exit code 1."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # print fertilities of any length
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:  # only validated: the sweeps run in this process
             raise InvalidArgumentError("jobs must be at least 1")
-        return args.func(args)
+        code, obj, lines = args.func(args)
+        if args.json:
+            import json
+            print(json.dumps(obj))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (StacksortError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,8 +35,8 @@ def _validated(entries: Sequence[int]) -> Perm:
 def parse_permutation(text: str) -> Perm:
     """Parse a permutation from whitespace- or comma-separated text.
 
-    A single all-digit token is read compactly, one entry per digit, as long
-    as no digit is ``0``; the usual distinctness check then applies, so
+    A single token of decimal digits is read compactly, one entry per digit,
+    as long as no digit is ``0``; the usual distinctness check then applies, so
     ``"11"`` is rejected rather than read as the 1-entry word (11). Tokens
     containing ``0`` (or inputs with several tokens) are read as ordinary
     decimal numbers, which is how words with entries above 9 are written.
@@ -49,7 +49,7 @@ def parse_permutation(text: str) -> Perm:
     ()
     """
     tokens = text.replace(",", " ").split()
-    if len(tokens) == 1 and tokens[0].isdigit() and len(tokens[0]) > 1 and "0" not in tokens[0]:
+    if len(tokens) == 1 and tokens[0].isdecimal() and len(tokens[0]) > 1 and "0" not in tokens[0]:
         return _validated([int(ch) for ch in tokens[0]])
     try:
         entries = [int(t) for t in tokens]

@@ -44,8 +44,8 @@ def test_import_leaves_dataclasses_unloaded():
 
 
 # modules that only some commands run, or that only they import
-DEFERRED = ("stacksort.cache", "stacksort.search", "stacksort.svg", "logging", "fractions",
-            "decimal", "csv", "fcntl")
+DEFERRED = ("stacksort.cache", "stacksort.search", "stacksort.svg", "json", "logging",
+            "fractions", "decimal", "csv", "fcntl")
 LOADED_AFTER = f"""
 import contextlib, io, sys
 from stacksort import cli
@@ -68,7 +68,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     imported, *after = [set(line.split()) for line in out.splitlines()]
     assert imported == after[0] == after[1] == after[2] == set()
     assert "stacksort.search" in after[3] and "stacksort.cache" not in after[3]
-    assert {"stacksort.cache", "logging", "fcntl"} <= after[4]
+    assert {"stacksort.cache", "json", "logging", "fcntl"} <= after[4]
 
 
 def test_entry_points():
@@ -109,7 +109,8 @@ class TestFertility:
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "both")
         assert code == 1 and out == "vhc 27\nbrute 26\ndisagree\n"
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--method", "both", "--json")
-        assert code == 1 and json.loads(out)["fertility"] == "27"
+        assert code == 1 and out == ('{"perm": "3 1 4 2 5 6 7", "fertility": "27", '
+                                     '"method": "both"}\n')
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "fertility", P27_TEXT, "--json")
@@ -463,8 +464,8 @@ class TestBoundCheck:
         code, out, _ = run(capsys, "bound-check", "1,2;2,1")
         assert code == 1 and out == "checked 1\nviolated [[1, 2], [2, 1]]\n"
         code, out, _ = run(capsys, "bound-check", "1,2;2,1", "--json")
-        assert code == 1 and json.loads(out) == {
-            "checked": 1, "all_hold": False, "failures": [[[1, 2], [2, 1]]]}
+        assert code == 1 and out == ('{"checked": 1, "all_hold": false, '
+                                     '"failures": [[[1, 2], [2, 1]]]}\n')
 
     def test_perm_matrix(self, capsys):
         code, out, _ = run(capsys, "bound-check", "--perm", P27_TEXT)
@@ -577,6 +578,24 @@ class TestUsageErrors:
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [("fertility", "\u00b2\u00b3"), ("sort", "1\u00b23"),
+                                      ("vhc", "\u2460\u2461", "--json")],
+                             ids=["superscripts", "superscript-inside", "circled"])
+    def test_non_decimal_digits_are_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err == f"error: not a permutation word: {argv[1]!r}\n"
+
+    @pytest.mark.parametrize("argv", [("fertility", P27_TEXT), ("spectrum", "3", "--json")],
+                             ids=["text", "json"])
+    def test_stdout_failure_is_reported_like_a_domain_error(self, capsys, monkeypatch, argv):
+        class BrokenPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code = main(list(argv))
+        assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+
     def test_bad_flag_reports_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fertility", "12", "--method", "psychic"])
@@ -588,3 +607,38 @@ def test_json_outputs_are_stable(capsys):
     first = run(capsys, "vhc", P27_TEXT, "--json")
     second = run(capsys, "vhc", P27_TEXT, "--json")
     assert first == second
+
+
+# stdout byte for byte, for the modes that the tests above check only in part
+@pytest.mark.parametrize("argv, out", [
+    ("sort 4162 --json", '{"perm": "4 1 6 2", "sorted": "1 4 2 6"}'),
+    ("fertility 3142567 --json", '{"perm": "3 1 4 2 5 6 7", "fertility": "27", "method": "vhc"}'),
+    ("fertility 3142567 --method both --json",
+     '{"perm": "3 1 4 2 5 6 7", "fertility": "27", "method": "both"}'),
+    ("preimages 123 --json",
+     '{"perm": "1 2 3", "count": 5, "preimages": ["1 2 3", "1 3 2", "2 1 3", "3 1 2", "3 2 1"]}'),
+    ("preimages 21 --json", '{"perm": "2 1", "count": 0, "preimages": []}'),
+    ("vhc 3142567", "count 6\n"
+     "1 hooks (1,3) (3,5) composition (3,1,1)\n2 hooks (1,3) (3,6) composition (2,1,2)\n"
+     "3 hooks (1,3) (3,7) composition (1,1,3)\n4 hooks (1,6) (3,5) composition (2,2,1)\n"
+     "5 hooks (1,7) (3,5) composition (1,3,1)\n6 hooks (1,7) (3,6) composition (1,2,2)"),
+    ("vhc 3142567 --json", '{"perm": "3 1 4 2 5 6 7", "count": 6, "compositions": '
+     '[[3, 1, 1], [2, 1, 2], [1, 1, 3], [2, 2, 1], [1, 3, 1], [1, 2, 2]]}'),
+    ("spectrum 5", "n 5\nachieved 1 4 5 9 14 42\n"
+     "1 21435\n4 14235\n5 12435\n9 13245\n14 21345\n42 12345"),
+    ("spectrum 5 --json", '{"n": 5, "achieved": ["1", "4", "5", "9", "14", "42"], '
+     '"witnesses": {"1": "2 1 4 3 5", "4": "1 4 2 3 5", "5": "1 2 4 3 5", "9": "1 3 2 4 5", '
+     '"14": "2 1 3 4 5", "42": "1 2 3 4 5"}}'),
+    ("classify 3 --max-n 4", "f 3\nverdict proven-infertile\nsearched_n 4"),
+    ("classify 3 --max-n 4 --json", '{"f": "3", "verdict": "proven-infertile", "searched_n": 4}'),
+    ("classify 2 --max-n 5 --json",
+     '{"f": "2", "verdict": "fertile", "searched_n": 0, "witness": "1 2"}'),
+    ("classify 31 --max-n 5", "f 31\nverdict unknown-up-to\nsearched_n 5"),
+    ("classify 31 --max-n 5 --json", '{"f": "31", "verdict": "unknown-up-to", "searched_n": 5}'),
+    ("construct 39", "f 39\nmethod none"),
+    ("construct 39 --json", '{"f": "39", "method": "none", "witness": null}'),
+    ("construct 95 --json", '{"f": "95", "method": "base-case", "witness": "1 2 4 3 5 6 7"}'),
+    ("density 4 --json", '{"n": 4, "count": "3", "ratio": "3/4"}'),
+])
+def test_stdout_bytes(capsys, argv, out):
+    assert run(capsys, *argv.split()) == (0, out + "\n", "")

@@ -31,6 +31,14 @@ words = st.lists(st.integers(1, 60), unique=True, max_size=8).map(tuple)
 class TestParse:
     def test_compact_digits(self):
         assert parse_permutation("4162") == (4, 1, 6, 2)
+        assert parse_permutation("\u0664\u0661\u0666\u0662") == (4, 1, 6, 2)  # Arabic-Indic
+
+    @pytest.mark.parametrize("text", ["\u00b2\u00b3", "\u2460\u2461", "1\u00b23"],
+                             ids=["superscripts", "circled", "superscript-inside"])
+    def test_non_decimal_digits_rejected(self, text):
+        # superscripts and circled digits are digits to str.isdigit, but not to int
+        with pytest.raises(InvalidArgumentError):
+            parse_permutation(text)
 
     def test_spaced(self):
         assert parse_permutation("13 2 12 15") == (13, 2, 12, 15)
