@@ -54,6 +54,12 @@ def levels():
             for n, table in search._levels(10)}
 
 
+@pytest.fixture(scope="module")
+def reference():
+    """The tuple-keyed reference tables of S_0 .. S_9."""
+    return level_tables(9)
+
+
 class TestLevels:
     def test_tables_are_the_brute_force_image_tallies(self, levels):
         for n in range(1, 9):
@@ -66,8 +72,7 @@ class TestLevels:
         for w in sample:
             assert fertility(w) == levels[10][w]
 
-    def test_tables_equal_the_tuple_reference(self, levels):
-        reference = level_tables(9)
+    def test_tables_equal_the_tuple_reference(self, levels, reference):
         for n in range(1, 10):
             assert levels[n] == reference[n], n
 
@@ -94,6 +99,13 @@ class TestLevels:
                 ones += value == 1
             counts.append(ones)
         assert counts == [1, 0, 1, 0, 5, 0, 56, 0, 1092, 0]
+
+    def test_even_length_means_even_fertility(self, levels):
+        # fert(w) = sum_i fert(w[:i]) * fert(w[i:n-1]) for w ending in n; at
+        # even n the two parts have lengths of opposite parity, so by induction
+        # every middle term is even, and the terms i = 0 and i = n - 1 are equal
+        for n, table in levels.items():
+            assert any(value % 2 for value in table.values()) == (n % 2 == 1), n
 
     def test_only_the_identity_attains_catalan(self, levels):
         for n, table in levels.items():
@@ -198,14 +210,17 @@ class TestClassify:
         result = classify(3, 4, cache={"2 1 3": 1, "3 1 4 2 5 6 7": 27})
         assert result.verdict == VERDICT_PROVEN_INFERTILE
 
-    def test_scan_hit(self):
-        # 123 has no construction; S_7 is the first length attaining it
-        assert witness(123).witness is None
-        result = classify(123, 7)
-        assert result == classify(123, 9)
-        assert result.verdict == VERDICT_FERTILE
-        assert result.searched_n == 7
-        assert result.witness == (1, 3, 2, 4, 5, 6, 7) == spectrum(7).witnesses[123]
+    @pytest.mark.parametrize("f, level", [
+        (123, 7), (39, 9), (143, 9), (191, 9), (331, 9), (387, 9), (903, 9), (1099, 9)])
+    def test_scan_hit(self, f, level, reference):
+        # every value of S_1 .. S_9 that no construction reaches, and the
+        # first length attaining it
+        assert witness(f).witness is None
+        assert all(f not in reference[n].values() for n in range(1, level))
+        least = min(w for w, value in reference[level].items() if value == f)
+        result = classify(f, 9)
+        assert result == (f, VERDICT_FERTILE, least, level) == classify(f, level)
+        assert spectrum(level).witnesses[f] == least
 
     def test_bad_jobs(self):
         # classify takes no jobs, even where a construction applies; the CLI
