@@ -89,28 +89,18 @@ def _verified(f: int, perm: Perm, method: str) -> WitnessReport:
     return WitnessReport(f, perm, method)
 
 
-def _seed_witnesses(limit: int) -> list[tuple[int, str, Perm]]:
-    """Known fertilities congruent to 3 mod 4, ascending, up to ``limit``: the
-    base case 95 and the interleaved values at m = 2, 6, 10, ... (27, 119, 275, ...)."""
-    seeds = [(95, "base-case", _WITNESS_95)] if limit >= 95 else []
-    m = 2
-    while (value := interleaved_fertility(m)) <= limit:
-        seeds.append((value, "interleaved", interleaved_witness(m)))
-        m += 4
-    seeds.sort()
-    return seeds
-
-
 def witness(f: int) -> WitnessReport:
     """Try to construct a permutation with fertility exactly ``f``.
 
     Zero and one have fixed witnesses; even targets and targets congruent to
     1 mod 4 come from the two witness families. A target congruent to 3 mod 4
-    is matched against the seed list or factored as seed * cofactor; both are
-    3 mod 4, so the cofactor is 1 mod 4 and :func:`one_mod4_witness` builds
-    it in one step. Every returned witness is verified once through the
-    fertility engine. ``method == "none"`` means only that this strategy
-    found nothing.
+    is matched against the seeds up to it (95 and the interleaved values 27,
+    119, 275, ...) or factored as seed * cofactor with the least seed that
+    divides it; both are 3 mod 4, so the cofactor is 1 mod 4 and
+    :func:`one_mod4_witness` builds it in one step. The seeds are kept as
+    numbers, and only the word returned is built. Every returned witness is
+    verified once through the fertility engine. ``method == "none"`` means
+    only that this strategy found nothing.
     """
     if f < 0:
         raise InvalidArgumentError("fertility targets are nonnegative")
@@ -122,12 +112,19 @@ def witness(f: int) -> WitnessReport:
         return _verified(f, even_witness(f // 2), "even")
     if f % 4 == 1:
         return _verified(f, one_mod4_witness((f - 1) // 4), "one-mod-4")
-    seeds = _seed_witnesses(f)
-    for value, method, perm in seeds:
-        if value == f:
-            return _verified(f, perm, method)
-    for value, _, perm in seeds:
-        if f % value == 0:  # f // value is 1 mod 4 and above 1: exact seeds returned above
-            cofactor = one_mod4_witness((f // value - 1) // 4)
-            return _verified(f, product_witness(perm, cofactor), "product")
-    return WitnessReport(f, None, "none")
+    seeds = {95: 0}  # seed value -> m of its interleaved word; 0 for 95
+    m = 2
+    while (value := interleaved_fertility(m)) <= f:
+        seeds[value] = m
+        m += 4
+    # f itself if it is a seed, else the least seed that divides f
+    value = f if f in seeds else min((v for v in seeds if f % v == 0), default=0)
+    if not value:
+        return WitnessReport(f, None, "none")
+    m = seeds[value]
+    seed = interleaved_witness(m) if m else _WITNESS_95
+    if value == f:
+        return _verified(f, seed, "interleaved" if m else "base-case")
+    # f // value is 1 mod 4 and above 1
+    cofactor = one_mod4_witness((f // value - 1) // 4)
+    return _verified(f, product_witness(seed, cofactor), "product")

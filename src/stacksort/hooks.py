@@ -61,7 +61,7 @@ from .errors import (
     UnsortedPermutationError,
     VerificationFailedError,
 )
-from .perms import Perm, descents, normalize
+from .perms import Perm, descents
 
 Composition = tuple[int, ...]
 
@@ -469,7 +469,7 @@ def reduce_stationary(p: Sequence[int], i: int) -> Perm:
         raise VerificationFailedError(f"part {i} is forced but hook {i} is not stationary")
 
     target = _project(comps, i)
-    candidate = normalize(_reduction_candidate(word, hook))
+    candidate = _reduction_candidate(word, hook)
     if valid_compositions(candidate) != target:
         raise ReductionNotFoundError(f"the reduced word {candidate} misses the projected set")
     return candidate

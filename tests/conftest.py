@@ -22,9 +22,14 @@ import stacksort
 from stacksort import (
     CorruptRecordError,
     Hook,
+    WitnessReport,
     composition_weight,
     induced_composition,
+    interleaved_fertility,
+    interleaved_witness,
     iter_vhc,
+    one_mod4_witness,
+    product_witness,
     stack_sort,
 )
 from stacksort.cache import _parse_line
@@ -181,6 +186,28 @@ def parse_lines(text, name=""):
             logging.getLogger("stacksort.cache").warning(
                 "%s: skipping an unterminated last line (%s)", name, exc)
     return records
+
+
+def seed_witness_reference(f):
+    """Reference 3-mod-4 branch of ``families.witness``, unverified: build
+    the word of every seed up to ``f`` (95 and the interleaved values 27,
+    119, 275, ...), sort them by value, return the seed equal to ``f`` if
+    there is one, else the product with the first seed that divides ``f``,
+    else a report without a witness."""
+    seeds = [(95, "base-case", (1, 2, 4, 3, 5, 6, 7))] if f >= 95 else []
+    m = 2
+    while (value := interleaved_fertility(m)) <= f:
+        seeds.append((value, "interleaved", interleaved_witness(m)))
+        m += 4
+    seeds.sort()
+    for value, method, perm in seeds:
+        if value == f:
+            return WitnessReport(f, perm, method)
+    for value, _, perm in seeds:
+        if f % value == 0:
+            cofactor = one_mod4_witness((f // value - 1) // 4)
+            return WitnessReport(f, product_witness(perm, cofactor), "product")
+    return WitnessReport(f, None, "none")
 
 
 def naive_point_colors(p, config):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from stacksort import (
@@ -15,7 +17,7 @@ from stacksort import (
     witness,
 )
 from stacksort import families
-from conftest import all_perms
+from conftest import all_perms, seed_witness_reference
 
 
 class TestEvenWitness:
@@ -143,3 +145,41 @@ class TestWitness:
         monkeypatch.setattr("stacksort.families.fertility", lambda p: 13)
         with pytest.raises(VerificationFailedError):
             witness(12)
+
+
+class TestSeedPath:
+    """Targets congruent to 3 mod 4: the seed itself, else the product with
+    the least seed that divides the target, with only that one word built."""
+
+    def test_matches_the_reference(self):
+        for f in range(3, 6000, 4):
+            assert witness(f) == seed_witness_reference(f)
+
+    def test_a_seed_divisible_by_a_smaller_seed_is_returned_as_itself(self):
+        # 1539 = 27 * 57 and 3159 = 27 * 117 are the interleaved values at m = 26, 38
+        for f, m in ((1539, 26), (3159, 38)):
+            assert witness(f) == (f, interleaved_witness(m), "interleaved")
+
+    def test_a_product_uses_the_least_seed_that_divides(self):
+        # 7695 = 27 * 285 = 95 * 81
+        cofactor = one_mod4_witness((285 - 1) // 4)
+        assert witness(7695) == (7695, product_witness(interleaved_witness(2), cofactor), "product")
+
+    def test_a_large_target_builds_no_word_per_seed(self):
+        tracemalloc.start()
+        try:
+            report = witness(100_000_003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.method == "none"
+        assert peak < 1 << 20
+
+    def test_at_most_one_interleaved_word_per_call(self, monkeypatch):
+        calls = []
+        build = families.interleaved_witness
+        monkeypatch.setattr(families, "interleaved_witness", lambda m: calls.append(m) or build(m))
+        for f in range(3, 6000, 4):
+            calls.clear()
+            witness(f)
+            assert len(calls) <= 1
