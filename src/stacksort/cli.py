@@ -273,8 +273,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and print what it returns: its ``--json`` object or its
-    text lines. A domain or file-system error, also one raised while printing,
-    ends as one ``error:`` line on stderr and exit code 1."""
+    text lines. A domain, file-system or memory error, also one raised while
+    printing, ends as one ``error:`` line on stderr and exit code 1."""
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # print fertilities of any length
     args = build_parser().parse_args(argv)
@@ -289,8 +289,9 @@ def main(argv: list[str] | None = None) -> int:
             for line in lines:
                 print(line)
         return code
-    except (StacksortError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StacksortError, OSError, MemoryError) as exc:
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -129,8 +129,6 @@ def classify(f: int, n_max: int, cache: Mapping[str, int] | None = None) -> Clas
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be positive")
-    if f < 0:
-        raise InvalidArgumentError("fertility targets are nonnegative")
     if cache:
         for text, value in cache.items():
             if value == f:

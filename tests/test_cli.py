@@ -596,6 +596,16 @@ class TestUsageErrors:
         code = main(list(argv))
         assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
+    @pytest.mark.parametrize("argv", [("construct", "100000"), ("fertility", P27_TEXT)],
+                             ids=["construct", "fertility"])
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, argv):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.families, "witness", exhausted)
+        monkeypatch.setattr(cli, "fertility", exhausted)
+        assert run(capsys, *argv) == (1, "", "error: out of memory\n")
+
     def test_bad_flag_reports_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fertility", "12", "--method", "psychic"])

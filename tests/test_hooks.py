@@ -53,6 +53,12 @@ from conftest import (
 P27 = (3, 1, 4, 2, 5, 6, 7)
 P95 = (1, 2, 4, 3, 5, 6, 7)
 BIG = (1, 8, 11, 4, 3, 5, 7, 6, 13, 14, 2, 12, 15, 9, 10, 16)
+# increasing runs of 10 to 20 entries, broken at different places
+RUN_PRODUCTS = (product_witness(even_witness(16), one_mod4_witness(11)),
+                product_witness(one_mod4_witness(20), even_witness(10)),
+                product_witness(interleaved_witness(6), even_witness(18)),
+                product_witness(product_witness(even_witness(12), interleaved_witness(3)),
+                                one_mod4_witness(14)))
 
 
 def images(lo, hi):
@@ -241,7 +247,9 @@ class TestFertility:
         # counting either word with the reference table takes seconds
         monkeypatch.setattr(hooks, "_demanded_fertility", lambda w: pytest.fail("phase 2 ran"))
         rng = random.Random(15)
-        for w, expected in ((even_witness(500), True),
+        # a phase 1 that rescans the union at every run start takes about 0.3 s
+        # on interleaved_witness(1500)
+        for w, expected in ((even_witness(500), True), (interleaved_witness(1500), True),
                             (tuple(rng.sample(range(1, 1000), 999)) + (1000,), False)):
             start = time.perf_counter()
             assert is_sorted(w) is expected
@@ -301,14 +309,9 @@ class TestDemandKernel:
     def test_matches_table_on_seeded_images(self):
         rng = random.Random(15)
         words = [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(20, 301, 7)]
-        # increasing runs of 10 to 20 entries, broken at different places: a
-        # bit of a run's span in cols set too early or kept too late adds or
+        # a bit of a run's span in cols set too early or kept too late adds or
         # drops a split
-        words += [product_witness(even_witness(16), one_mod4_witness(11)),
-                  product_witness(one_mod4_witness(20), even_witness(10)),
-                  product_witness(interleaved_witness(6), even_witness(18)),
-                  product_witness(product_witness(even_witness(12), interleaved_witness(3)),
-                                  one_mod4_witness(14))]
+        words += RUN_PRODUCTS
         for _ in range(6):
             w = ()
             for _ in range(rng.randint(2, 3)):
@@ -323,6 +326,10 @@ class TestDemandKernel:
         rng = random.Random(16)
         words = [w for n in range(7) for w in all_perms(n)]
         words += [stack_sort(tuple(rng.sample(range(1, n + 1), n))) for n in range(10, 41)]
+        # descent-heavy words: most columns open a run, whose union is seeded unscanned
+        words += [interleaved_witness(m) for m in range(1, 41)]
+        words += [f(m) for f in (even_witness, one_mod4_witness) for m in range(1, 31)]
+        words += RUN_PRODUCTS
         for w in words:
             sets = hooks._sortedness(w)[0]
             rows = interval_rows(w)

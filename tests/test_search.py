@@ -243,7 +243,7 @@ class TestClassify:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             classify(1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             classify(-2, 3)
 
 
