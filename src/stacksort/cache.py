@@ -11,6 +11,10 @@ logger, and the next append cuts it off. Reads take runs of the lines
 :func:`record_line` writes in bulk, and every other line one at a time. Both
 ways test a key with :func:`_is_key` and a value with ``_VALUE``, the one
 statement of each rule.
+
+:func:`load` keeps one file's text and table in one slot per process and
+parses only the lines appended to that text since; a fresh process, another
+file or a rewritten one costs a parse of the whole file.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import json
 import logging
 import os
 import re
+import sys
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -88,17 +93,18 @@ def _parse_line(line: str, lineno: int) -> CacheRecord:
     return CacheRecord(text, value)
 
 
-def _read(text: str, name: str = "") -> Iterable[tuple[str, int]]:
+def _read(text: str, name: str = "", lineno: int = 1) -> Iterable[tuple[str, int]]:
     """(key, value) of every record in a cache file's text, in file order.
 
     Runs of :func:`record_line` lines are checked and converted in bulk. Every
     other line goes through :func:`_parse_line`, and so does each line of a run
     that fails, so that the error names the first bad line. ``name`` names the
-    file in the warning for an unterminated last line that does not parse.
+    file in the warning for an unterminated last line that does not parse;
+    ``lineno`` is the number of the text's first line.
     """
     parts = _RECORD.split(text)  # a gap, then key, value and gap per record
     chunks: list[Iterable[tuple[str, int]]] = []
-    lineno, run = 1, 1  # the number of the run's first line; its first key's index in parts
+    run = 1  # the index in parts of the first key of the run that starts at line lineno
     # a run of records ends at each gap with text in it, and at the end of the text
     for gap in [*compress(range(0, len(parts) - 1, 3), parts[:-1:3]), len(parts) - 1]:
         run_keys, run_values = parts[run:gap:3], parts[run + 1:gap:3]
@@ -123,17 +129,16 @@ def _read(text: str, name: str = "") -> Iterable[tuple[str, int]]:
     return chain.from_iterable(chunks)
 
 
-def _pairs(path: str | os.PathLike) -> Iterable[tuple[str, int]]:
-    """(key, value) of every record in file order; a missing file has none."""
+def _text(path: str | os.PathLike) -> str:
+    """The whole file, read under a shared lock; a missing file reads as empty."""
     if not os.path.exists(path):
-        return []
+        return ""
     with open(path, encoding="utf-8", newline="") as fh:
         fcntl.flock(fh, fcntl.LOCK_SH)
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise CorruptRecordError(f"{os.fspath(path)}: {exc}") from None
-    return _read(text, os.fspath(path))
 
 
 def read_records(path: str | os.PathLike) -> list[CacheRecord]:
@@ -142,7 +147,7 @@ def read_records(path: str | os.PathLike) -> list[CacheRecord]:
     An unterminated last line that does not parse is skipped with a warning;
     a bad line anywhere else raises :class:`CorruptRecordError`.
     """
-    return list(map(CacheRecord._make, _pairs(path)))
+    return list(map(CacheRecord._make, _read(_text(path), os.fspath(path))))
 
 
 def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> None:
@@ -164,25 +169,57 @@ def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> N
             try:
                 _parse_line(tail, data.count(b"\n") + 1)
                 payload = "\n" + payload
-            except CorruptRecordError:
-                _log.warning("%s: cutting off an unterminated last line", os.fspath(path))
+            except CorruptRecordError as exc:
+                _log.warning("%s: cutting off an unterminated last line (%s)",
+                             os.fspath(path), exc)
                 fh.truncate(start)
         fh.write(payload.encode("utf-8"))
         fh.flush()
 
 
-def load(path: str | os.PathLike) -> dict[str, int]:
-    """Collapse the record stream into a key -> fertility map.
+# what load parsed last: the text up to its last "\n", the number of the line
+# after it, the digit limit it was parsed under and its table; the tuple is
+# replaced whole and its table never changed, so loads in threads need no lock
+_last: tuple[str, int, int | None, dict[str, int]] = ("", 1, None, {})
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # absent before 3.10.7
 
-    Rewriting a key is only legal with the same value; a conflicting
-    duplicate means the file is corrupt.
-    """
-    table: dict[str, int] = {}
-    for key, value in _pairs(path):
+
+def _merge(table: dict[str, int], pairs: Iterable[tuple[str, int]]) -> dict[str, int]:
+    for key, value in pairs:
         old = table.setdefault(key, value)
         if old != value:
             raise CorruptRecordError(f"conflicting values for {key!r}: {old} and {value}")
     return table
+
+
+def load(path: str | os.PathLike) -> dict[str, int]:
+    """Collapse the record stream into a fresh key -> fertility map.
+
+    Rewriting a key is only legal with the same value; a conflicting
+    duplicate means the file is corrupt.
+
+    The whole file is read each time, but when it starts with the text the
+    last load in this process parsed, under the same digit limit, only the
+    lines after that text are parsed. The one slot that holds that text and
+    its table is the memory this costs; any other text is parsed whole, as
+    it is in a fresh process. An unterminated last line never enters the
+    slot, so it is read, and warned about, on every load.
+    """
+    global _last
+    name = os.fspath(path)
+    text, limit = _text(path), _digit_limit()
+    done, lineno, last_limit, table = _last
+    if last_limit != limit or not text.startswith(done):
+        done, lineno, table = "", 1, {}
+    end = text.rfind("\n") + 1
+    new = text[len(done):end]
+    pairs = _read(new, name, lineno)
+    lineno += new.count("\n")
+    tail = _read(text[end:], name, lineno)
+    if new:
+        table = _merge(dict(table), pairs)
+        _last = (text[:end], lineno, limit, table)
+    return _merge(dict(table), tail)
 
 
 def audit(path: str | os.PathLike) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -20,9 +21,12 @@ import pytest
 
 import stacksort
 from stacksort import (
+    CacheRecord,
     CorruptRecordError,
     Hook,
+    StacksortError,
     WitnessReport,
+    append_records,
     composition_weight,
     induced_composition,
     interleaved_fertility,
@@ -32,7 +36,8 @@ from stacksort import (
     product_witness,
     stack_sort,
 )
-from stacksort.cache import _parse_line
+from stacksort import cache
+from stacksort.cache import _parse_line, record_line
 
 
 def all_perms(n):
@@ -186,6 +191,132 @@ def parse_lines(text, name=""):
             logging.getLogger("stacksort.cache").warning(
                 "%s: skipping an unterminated last line (%s)", name, exc)
     return records
+
+
+def cold_load(path):
+    """``cache.load`` as a fresh process runs it: from an empty slot. The
+    slot the last load left is put back afterwards."""
+    last = cache._last
+    cache._last = ("", 1, None, {})
+    try:
+        return cache.load(path)
+    finally:
+        cache._last = last
+
+
+def reference_load(path):
+    """Reference ``cache.load``: the records :func:`parse_lines` reads, first
+    value per key, and a conflicting duplicate is corrupt."""
+    table = {}
+    for key, value in parse_lines(path.read_bytes().decode("utf-8"), os.fspath(path)):
+        old = table.setdefault(key, value)
+        if old != value:
+            raise CorruptRecordError(f"conflicting values for {key!r}: {old} and {value}")
+    return table
+
+
+def load_outcome(load, path):
+    """A cache load's items in order, or the class and text of the error it
+    raised, with the warnings it logged."""
+    logged = []
+    handler = logging.Handler()
+    handler.emit = logged.append
+    logger = logging.getLogger("stacksort")
+    logger.addHandler(handler)
+    try:
+        got = list(load(path).items())
+    except StacksortError as exc:
+        got = (type(exc).__name__, str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return got, [(r.name, r.levelname, r.getMessage()) for r in logged]
+
+
+def warm_and_cold_loads(seed, steps, path):
+    """Edit the cache file at ``path`` ``steps`` times, seeded, and after each
+    edit compare ``cache.load``, whose slot carries over from step to step,
+    with :func:`cold_load` and :func:`reference_load`. Return the first edit
+    after which they differ, with the three outcomes, or None.
+
+    The edits append record_line lines (a few with a conflicting value),
+    odd lines (CRLF, blank, reordered, spaced, bad) and torn tails, mostly
+    after cutting off an unterminated last line, and records through
+    ``append_records``; they truncate the file, anywhere or at a line
+    end; they change one digit in place and keep the mtime, or write a fresh
+    file; and they switch the digit limit and append a value above it.
+    """
+    rng = random.Random(seed)
+    keys = [" ".join(map(str, w)) for n in range(7) for w in all_perms(n)]
+    values = {key: rng.randrange(10 ** rng.randint(1, 30)) for key in keys}
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    limit = sys.get_int_max_str_digits() if has_limit else 0
+    if has_limit:
+        sys.set_int_max_str_digits(0)
+    big = record_line(CacheRecord("1 2 3 4 5 6 7", 10 ** 4400)) + "\n"
+
+    def record():
+        key = rng.choice(keys)
+        return CacheRecord(key, values[key] + (rng.random() < 0.005))
+
+    def odd():
+        key = rng.choice(keys)
+        value = values[key]
+        return rng.choice([
+            record_line(CacheRecord(key, value)) + "\r\n", "\n", "\r\n",
+            '{"perm": "%s","fertility":"%s"}\n' % (key, value),
+            '{"fertility":"%s","perm":"%s"}\n' % (value, key),
+            "not json\n", '{"perm":"1 1","fertility":"2"}\n',
+            '{"perm":"%s","fertility":"0%s"}\n' % (key, value)])
+
+    try:
+        for step in range(steps):
+            text = path.read_bytes().decode("utf-8") if path.exists() else ""
+            edit = rng.choices(["append", "append_records", "odd", "torn", "truncate",
+                                "digit", "fresh", "limit", "big"],
+                               [5, 2, 1, 1, 2, 1, 0.5, 0.5, 0.3])[0]
+            if edit in ("append", "odd", "big") and rng.random() < 0.8:
+                text = text[:text.rfind("\n") + 1]  # as append_records cuts a torn tail
+            if edit == "append":
+                text += "".join(record_line(record()) + "\n" for _ in range(rng.randint(1, 6)))
+            elif edit == "append_records":
+                try:
+                    append_records(path, [record() for _ in range(rng.randint(1, 6))])
+                except StacksortError:  # a tail above the digit limit
+                    pass
+                text = path.read_bytes().decode("utf-8")
+            elif edit == "odd":
+                text += odd()
+            elif edit == "torn":
+                line = record_line(record())
+                text += line[:rng.randint(1, len(line))]
+            elif edit == "truncate":
+                cut = rng.randint(0, len(text))
+                text = text[:text.rfind("\n", 0, cut) + 1 if rng.random() < 0.5 else cut]
+            elif edit == "digit":
+                digits = [i for i, c in enumerate(text) if c.isdigit()]
+                if digits:
+                    at = rng.choice(digits)
+                    text = text[:at] + rng.choice("0123456789") + text[at + 1:]
+            elif edit == "fresh":
+                text = "".join(record_line(record()) + "\n" for _ in range(rng.randint(0, 12)))
+            elif edit == "limit" and has_limit:
+                sys.set_int_max_str_digits(4300 if sys.get_int_max_str_digits() == 0 else 0)
+            elif edit == "big":
+                text += big
+            if edit != "append_records":
+                stat = path.stat() if path.exists() else None
+                path.write_bytes(text.encode("utf-8"))
+                if stat is not None:  # the same mtime: only the text tells of the edit
+                    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            warm = load_outcome(cache.load, path)
+            cold = load_outcome(cold_load, path)
+            reference = load_outcome(reference_load, path)
+            if not warm == cold == reference:
+                return step, edit, text, warm, cold, reference
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(limit)
+    return None
 
 
 def seed_witness_reference(f):

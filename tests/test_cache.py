@@ -22,9 +22,10 @@ from stacksort import (
     read_records,
 )
 from stacksort import cache
-from stacksort.cache import _parse_line, _read, record_line
+from stacksort.cache import _is_key, _parse_line, _read, record_line
 from stacksort.perms import is_normalized
-from conftest import in_new_interpreter, outcome, parse_lines
+from conftest import (cold_load, in_new_interpreter, load_outcome, outcome, parse_lines,
+                      reference_load, warm_and_cold_loads)
 
 
 def test_cache_key_normalizes():
@@ -206,6 +207,7 @@ def test_audit_detects_a_wrong_value(tmp_path):
 
 
 GOOD = '{"perm":"1 2","fertility":"2"}\n{"perm":"2 1","fertility":"0"}\n'
+TORN = '{"perm":"3 1 4 2 5 6 7","fertil'
 
 
 def test_torn_last_line_is_skipped_with_a_warning(tmp_path, caplog):
@@ -230,6 +232,16 @@ def test_torn_last_line_warning_reaches_only_configured_logging(tmp_path):
     code, out, err = outcome(configured)
     assert (code, out) == (0, "2\n")
     assert err.startswith("WARNING:stacksort.cache:") and "unterminated last line" in err
+
+
+def test_append_names_the_torn_line_it_cuts_off(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + TORN)
+    with caplog.at_level(logging.WARNING, logger="stacksort"):
+        append_records(path, [CacheRecord("1 2 3", 5)])
+    [(logger, level, message)] = caplog.record_tuples
+    assert (logger, level) == ("stacksort.cache", logging.WARNING)
+    assert message.startswith(f"{path}: cutting off an unterminated last line (line 3: ")
 
 
 def test_unterminated_good_last_line_is_kept(tmp_path):
@@ -352,6 +364,93 @@ def test_bad_line_before_the_end_is_corrupt(tmp_path):
             read_records(path)
 
 
+def seeded_records(count, sizes, seed):
+    """Records of random words with n in ``sizes``; a key that recurs keeps its value."""
+    rng = random.Random(seed)
+    values = {}
+    for _ in range(count):
+        n = rng.choice(sizes)
+        key = " ".join(map(str, rng.sample(range(1, n + 1), n)))
+        yield CacheRecord(key, values.setdefault(key, rng.randrange(10 ** 30)))
+
+
+def test_a_second_load_checks_only_the_appended_keys(tmp_path, monkeypatch):
+    """A load of a file that starts with the text the last load parsed tests
+    only the keys after that text: none when nothing was appended."""
+    path = tmp_path / "cache.jsonl"
+    append_records(path, seeded_records(2000, range(1, 13), 27))
+    calls = []
+    monkeypatch.setattr(cache, "_is_key", lambda text: calls.append(text) or _is_key(text))
+    monkeypatch.setattr(cache, "_last", ("", 1, None, {}))
+    table = load(path)
+    assert len(calls) == 2000
+    calls.clear()
+    assert load(path) == table and calls == []
+    more = list(seeded_records(3, [13, 14], 28))
+    append_records(path, more)
+    assert load(path) == {**table, **dict(more)}
+    assert calls == [r.perm for r in more]
+
+
+def test_load_returns_a_fresh_dict(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + '{"perm":"1","fertility":"1"}')
+    table = load(path)
+    table["1 2"], table["1 2 3"] = 3, 5
+    del table["2 1"]
+    assert load(path) == {"1 2": 2, "2 1": 0, "1": 1}
+
+
+def test_a_rewrite_in_place_is_seen(tmp_path):
+    """The same size and mtime with a different value: the slot is keyed on
+    the text, not on the file's metadata."""
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD)
+    assert load(path) == {"1 2": 2, "2 1": 0}
+    stat = path.stat()
+    path.write_text(GOOD.replace('"2"', '"3"'))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+    assert load(path) == {"1 2": 3, "2 1": 0}
+
+
+@pytest.mark.parametrize("bad, error, warned", [
+    ("not json\n", "line 4: ", False), ('{"perm":"1 1","fertility":"2"}\n', "line 4: ", False),
+    ("\r\nnot json\n", "line 5: ", False), ("not json\n" + TORN, "line 4: ", False),
+    ('{"perm":"1 2","fertility":"3"}\n', "conflicting values", False),
+    ('{"perm":"1 2","fertility":"3"}\n' + TORN, "conflicting values", True)])
+def test_a_bad_line_after_a_loaded_prefix_reads_as_in_a_cold_load(tmp_path, bad, error, warned):
+    """The same error, also on the next load, and a torn tail's warning before
+    a conflict above it."""
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + "\n")
+    assert load(path) == {"1 2": 2, "2 1": 0}
+    path.write_text(GOOD + "\n" + bad)
+    want = load_outcome(reference_load, path)
+    assert [load_outcome(load, path) for _ in range(2)] == [want, want]
+    assert load_outcome(cold_load, path) == want
+    assert want[0][1].startswith(error) and len(want[1]) == warned
+
+
+def test_a_torn_tail_warns_on_every_load(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(GOOD + TORN)
+    with caplog.at_level(logging.WARNING, logger="stacksort"):
+        for _ in range(3):
+            assert load(path) == {"1 2": 2, "2 1": 0}
+        path.write_text(GOOD + '{"perm":"1","fertility":"1"}\n{"perm":"3 1')
+        assert load(path) == {"1 2": 2, "2 1": 0, "1": 1}
+    lines = [msg for _, _, msg in caplog.record_tuples]
+    assert len(lines) == 4 and all("unterminated last line" in msg for msg in lines)
+    assert [msg.split("(")[1][:7] for msg in lines] == ["line 3:"] * 3 + ["line 4:"]
+
+
+def test_warm_loads_match_cold_loads_over_seeded_edits(tmp_path):
+    """A few hundred seeded appends, odd lines, torn tails, truncations,
+    rewrites and digit-limit switches; CI runs thousands."""
+    assert warm_and_cold_loads(27, 300, tmp_path / "cache.jsonl") is None
+
+
 APPENDER = """import sys
 from stacksort import CacheRecord, append_records
 print("ready", flush=True)
@@ -401,6 +500,15 @@ class TestValueAboveTheDigitLimit:
         self.write(path, "\n")
         with pytest.raises(SizeLimitExceededError,
                            match=r"^line 3: 4329 digits .*set_int_max_str_digits\(0\)"):
+            load(path)
+
+    def test_a_load_under_a_lifted_limit_is_not_reused_under_the_default(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        self.write(path, "\n")
+        sys.set_int_max_str_digits(0)
+        assert load(path)["1 2"] == 2
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(SizeLimitExceededError, match="^line 3: 4329 digits "):
             load(path)
 
     def test_unterminated_last_record(self, tmp_path):
