@@ -1,8 +1,10 @@
 """Desk-scale searches over symmetric groups and the finite-check bound.
 
 A positive fertility value f, if attained at all, is attained by a word of
-length at most f + 1, so ruling f out only requires scanning S_1 .. S_{f+1}.
-``classify`` implements that search (with construction shortcuts),
+length at most f + 1, so ruling f out only requires scanning S_1 .. S_{f+1},
+and for an odd f only S_1 .. S_f, since even lengths have even fertility.
+``classify`` implements that search (with construction shortcuts), and so
+machine-checks that 3, 7 and 11 are not fertility values by classify(f, f + 1);
 ``spectrum`` collects every value attained in one S_n, and the matrix
 helpers expose the arithmetic behind the f + 1 bound. Both sweeps read the
 level tables of ``_levels``: every sorted word of S_n is u v n with u and v
@@ -121,11 +123,21 @@ def classify(f: int, n_max: int, cache: Mapping[str, int] | None = None) -> Clas
     re-verified before being trusted), then the witness constructions; either
     ends the search with no scan (searched_n = 0). Otherwise the level tables
     of S_1, S_2, ... are built in turn, and the first one holding ``f`` gives
-    its lexicographically least word as the witness. Scanning stops at
-    min(n_max, f + 1): beyond f + 1 nothing new can appear, so exhausting
-    that range proves infertility; exhausting a smaller range is only ever
-    "unknown". The scan length is checked against ``SWEEP_LIMIT`` only once
-    no shortcut applies.
+    its lexicographically least word as the witness. The search covers
+    bound = min(n_max, f + 1), reported as ``searched_n``: beyond f + 1
+    nothing new can appear, so exhausting that range proves infertility;
+    exhausting a smaller range is only ever "unknown".
+
+    A word of even length n >= 2 has even fertility, so for an odd f an even
+    bound is settled without building S_bound: the scan stops at bound - 1,
+    and that highest level built is what is checked against ``SWEEP_LIMIT``,
+    only once no shortcut applies. The proof uses only the recursion that
+    ``fertility`` implements, F(a, b) for the fertility of w[a:b]:
+    - a w not ending in n has fertility 0; else fert(w) = Σ_i F(0, i)·F(i, n-1),
+      whose parts have lengths i and n-1-i, of opposite parity;
+    - for 1 <= i <= n-2 the even part has length >= 2, so its term is even by
+      induction, and the terms i = 0 and i = n-1 both equal fert(w[:n-1]);
+    - the base case is n = 2, whose fertilities are 0 and 2.
     """
     if n_max < 1:
         raise InvalidArgumentError("n_max must be positive")
@@ -139,8 +151,9 @@ def classify(f: int, n_max: int, cache: Mapping[str, int] | None = None) -> Clas
     if report.witness is not None:
         return ClassifyResult(f, VERDICT_FERTILE, report.witness, 0)
     bound = min(n_max, f + 1)  # f >= 1 here: 0 always has a witness above
-    _check_sweep(bound)
-    for n, table in _levels(bound):
+    top = bound - 1 if f % 2 and bound % 2 == 0 else bound
+    _check_sweep(top)
+    for n, table in _levels(top):
         if f in table.values():
             hit = min(w for w, value in table.items() if value == f)
             return ClassifyResult(f, VERDICT_FERTILE, tuple(hit), n)
@@ -223,6 +236,8 @@ def small_odd_status(f: int) -> bool | None:
     """Known status of the first few targets congruent to 3 mod 4.
 
     27 is attained; 3, 7, 11, 15, 19 and 23 are not attainable by any word of
-    any length. Returns None outside this table.
+    any length. Of these, 3, 7 and 11 are machine-checked by
+    ``classify(f, f + 1)``, which scans up to S_f within ``SWEEP_LIMIT``; the
+    others rest on the paper. Returns None outside this table.
     """
     return _SMALL_ODD_STATUS.get(f)

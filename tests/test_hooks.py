@@ -231,6 +231,19 @@ class TestFertility:
             assert len(descents(w)) == m
             assert fertility(w) == 1, m
 
+    def test_even_length_means_even_fertility_past_the_level_tables(self):
+        # the parity lemma that lets classify skip an even top level for an odd
+        # target; CI repeats it on 300 even-length images with n up to 1,000
+        rng = random.Random(28)
+        odd = 0
+        for n in (rng.randint(12, 200) for _ in range(200)):
+            value = fertility(stack_sort(tuple(rng.sample(range(1, n + 1), n))))
+            assert n % 2 == 1 or value % 2 == 0, n
+            odd += value % 2
+        assert odd  # a kernel that returned only even values fails here
+        for m in range(1, 101):
+            assert fertility(even_witness(m)) % 2 == 0, m
+
     def test_is_sorted(self):
         assert not is_sorted((2, 1))
         assert is_sorted((1, 2, 3))

@@ -82,7 +82,9 @@ class TestLevels:
         with pytest.raises(VerificationFailedError):
             spectrum(4)
         with pytest.raises(VerificationFailedError):
-            classify(3, 4)
+            classify(31, 5)
+        # 3 is odd, so its scan stops at S_3 and never meets the bad S_4
+        assert classify(3, 4) == (3, VERDICT_PROVEN_INFERTILE, None, 4)
 
     def test_uniquely_sorted_words(self, levels):
         # Lassalle's sequence (OEIS A180874); Defant, "Catalan intervals and
@@ -239,6 +241,48 @@ class TestClassify:
         monkeypatch.setattr(search, "_levels", no_scan)
         with pytest.raises(SizeLimitExceededError):
             classify(31, 20)
+
+    def test_odd_targets_never_build_an_even_top_level(self, monkeypatch):
+        asked = []
+        build = search._levels
+
+        def spy(n_max):
+            asked.append(n_max)
+            return build(n_max)
+
+        monkeypatch.setattr(search, "_levels", spy)
+        for f, n_max, top in ((7, 8, 7), (31, 8, 7), (31, 7, 7)):
+            asked.clear()
+            classify(f, n_max)
+            assert asked == [top], (f, n_max)
+        asked.clear()
+        for f in range(1, 100, 2):
+            for n_max in range(1, 9):
+                classify(f, n_max)
+        assert asked and all(n % 2 for n in asked), asked
+
+    def test_pruned_scan_matches_the_full_scan(self, levels):
+        least = {n: {} for n in levels}  # n -> value -> least word of S_n
+        for n, table in levels.items():
+            for w in sorted(table):
+                least[n].setdefault(table[w], w)
+
+        def full_scan(f, n_max):
+            bound = min(n_max, f + 1)
+            for n in range(1, bound + 1):
+                if f in least[n]:
+                    return VERDICT_FERTILE, least[n][f], n
+            return VERDICT_PROVEN_INFERTILE if n_max > f else VERDICT_UNKNOWN, None, bound
+
+        targets = [f for f in range(3, 400, 4) if witness(f).witness is None]
+        cases = [(f, n_max) for f in targets for n_max in range(1, 9)]
+        cases += [(f, n_max) for f in (31, 39, 43, 143, 387) for n_max in (9, 10)]
+        for f, n_max in cases:
+            assert classify(f, n_max)[1:] == full_scan(f, n_max), (f, n_max)
+
+    def test_11_is_proven_infertile(self):
+        # S_12 is past SWEEP_LIMIT, but 11 is odd: only S_1 .. S_11 are built
+        assert classify(11, 12) == (11, VERDICT_PROVEN_INFERTILE, None, 12)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
