@@ -223,7 +223,9 @@ def load(path: str | os.PathLike) -> dict[str, int]:
 
 
 def audit(path: str | os.PathLike) -> int:
-    """Recompute every cached value with the engine; return the record count."""
+    """Recompute every cached value with the engine; return the number of
+    distinct keys, ``len(load(path))``. That can be fewer than the records in
+    the file, since ``load`` collapses a key written again with its value."""
     table = load(path)
     for text, value in table.items():  # load has proven every key canonical
         got = fertility(list(map(int, text.split())))

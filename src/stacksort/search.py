@@ -15,6 +15,7 @@ relabelled with ``bytes.translate``; byte order is tuple order below 256.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -35,7 +36,8 @@ VERDICT_UNKNOWN = "unknown-up-to"
 VERDICT_PROVEN_INFERTILE = "proven-infertile"
 
 #: Largest n a symmetric-group sweep accepts: S_11 has 578,290 sorted words,
-#: built from 905,024 splits (0.6-1.0 s and 70 MB peak RSS on a 2-vCPU Xeon VM).
+#: built from 905,024 (A, u, v) products over its 1,024 alphabet splits
+#: (0.6-1.0 s and 70 MB peak RSS on a 2-vCPU Xeon VM).
 SWEEP_LIMIT = 11
 
 
@@ -56,6 +58,21 @@ class ClassifyResult(NamedTuple):
     searched_n: int
 
 
+@functools.cache
+def _splits(n: int) -> tuple[tuple[tuple[bytes, bytes], ...], ...]:
+    """For k = 0 .. n-1, the (into_a, into_b) translate tables of every
+    k-subset A of ``letters`` = the bytes 1 .. n-1, in ``combinations`` order:
+    into_a relabels ``letters[:k]`` onto A, and into_b relabels
+    ``letters[:n-1-k]`` onto B = ``letters.translate(None, A)``. They depend
+    only on n, so each level's plan is built once per process."""
+    letters = bytes(range(1, n))
+    return tuple(
+        tuple((bytes.maketrans(letters[:k], a),
+               bytes.maketrans(letters[:n - 1 - k], letters.translate(None, a)))
+              for a in map(bytes, itertools.combinations(letters, k)))
+        for k in range(n))
+
+
 def _levels(n_max: int) -> Iterator[tuple[int, dict[bytes, int]]]:
     """Yield (n, table) for n = 1 .. n_max; ``table`` maps every sorted word
     of S_n, as ``bytes`` with letter x stored as byte x, to its fertility.
@@ -63,9 +80,9 @@ def _levels(n_max: int) -> Iterator[tuple[int, dict[bytes, int]]]:
     fert(σ n) = Σ_i fert(σ[:i])·fert(σ[i:]) depends only on the patterns of
     the two parts, so for every alphabet split A ⊔ B = [n-1] and sorted
     patterns u of S_|A|, v of S_|B|, the word u(A) v(B) n gains
-    fert(u)·fert(v); u(A) is one ``u.translate``. With ``letters`` the bytes
-    1 .. n-1, a split relabels pattern letters ``letters[:k]`` into A and
-    ``letters[:n-1-k]`` into B = ``letters.translate(None, A)``. Keys hash
+    fert(u)·fert(v); u(A) is one ``u.translate``. The translate tables of
+    the splits depend only on n and come from ``_splits``, built once per
+    process; the tables of words are built afresh on every call. Keys hash
     once and, with letters < 256, sort as tuples do. Every permutation has
     exactly one image, so a table whose values do not add up to n! is rejected.
     """
@@ -73,13 +90,9 @@ def _levels(n_max: int) -> Iterator[tuple[int, dict[bytes, int]]]:
     for n in range(1, n_max + 1):
         table: dict[bytes, int] = {}
         get = table.get
-        letters = bytes(range(1, n))
         top = bytes([n])
-        for k in range(n):
-            left, right = letters[:k], letters[:n - 1 - k]
-            for a in map(bytes, itertools.combinations(letters, k)):
-                into_a = bytes.maketrans(left, a)
-                into_b = bytes.maketrans(right, letters.translate(None, a))
+        for k, plan in enumerate(_splits(n)):
+            for into_a, into_b in plan:
                 rights = [(v.translate(into_b) + top, fv) for v, fv in tables[n - 1 - k].items()]
                 for u, fu in tables[k].items():
                     u = u.translate(into_a)

@@ -86,6 +86,45 @@ class TestLevels:
         # 3 is odd, so its scan stops at S_3 and never meets the bad S_4
         assert classify(3, 4) == (3, VERDICT_PROVEN_INFERTILE, None, 4)
 
+    def test_cached_plans_give_the_same_tables(self, reference):
+        def build():
+            return [{tuple(w): value for w, value in table.items()}
+                    for _, table in search._levels(9)]
+
+        first, second = build(), build()
+        search._splits.cache_clear()
+        assert first == second == build() == reference[1:]
+
+    def test_each_plan_is_built_once_per_process(self):
+        search._splits.cache_clear()
+        spectrum(6)
+        assert search._splits.cache_info()[:2] == (0, 6)  # (hits, misses)
+        assert classify(43, 8).verdict == VERDICT_UNKNOWN  # 43 is odd: S_8 is not built
+        assert search._splits.cache_info()[:2] == (6, 7)
+        spectrum(8)
+        assert search._splits.cache_info()[:2] == (13, 8)
+
+    def test_plans_relabel_onto_every_split(self):
+        for n in range(1, 9):
+            letters = bytes(range(1, n))
+            plans = search._splits(n)
+            assert len(plans) == n
+            for k, plan in enumerate(plans):
+                assert len(plan) == math.comb(n - 1, k)
+                alphabets = [bytes(range(1, k + 1)).translate(into_a) for into_a, _ in plan]
+                assert alphabets == list(map(bytes, itertools.combinations(letters, k))), (n, k)
+                for a, (_, into_b) in zip(alphabets, plan):
+                    b = bytes(x for x in letters if x not in a)
+                    assert letters[:n - 1 - k].translate(into_b) == b, (n, a)
+
+    def test_refused_sweeps_build_no_plan(self):
+        search._splits.cache_clear()
+        with pytest.raises(SizeLimitExceededError):
+            spectrum(SWEEP_LIMIT + 1)
+        with pytest.raises(SizeLimitExceededError):
+            classify(31, 20)
+        assert search._splits.cache_info().currsize == 0
+
     def test_uniquely_sorted_words(self, levels):
         # Lassalle's sequence (OEIS A180874); Defant, "Catalan intervals and
         # uniquely sorted permutations" (JCTA 2020): a sorted word has
