@@ -203,7 +203,8 @@ def _cmd_bound_check(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and reused by every later one."""
+    """The CLI's parser, built once and then reused; not cached itself, as the
+    benchmark's tracer wraps only ``inspect.isfunction`` values."""
     return _parser()
 
 

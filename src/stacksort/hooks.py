@@ -351,10 +351,10 @@ def _demanded_fertility(w: Perm) -> int:
 
 
 def is_sorted(p: Sequence[int]) -> bool:
-    """True when ``p`` is a stack-sorting image, read off the sortedness
-    bitsets of :func:`_sortedness` without counting preimages."""
+    """True when ``p`` is a stack-sorting image: it must end in its maximum,
+    and then phase 1 (:func:`_sortedness`) decides, counting no preimages."""
     w = tuple(p)
-    return bool(_sortedness(w)[0][len(w)] & 1)
+    return not w or w[-1] == max(w) and bool(_sortedness(w)[0][len(w)] & 1)
 
 
 def stationary_hooks(p: Sequence[int]) -> set[Hook]:

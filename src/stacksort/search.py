@@ -85,7 +85,10 @@ def _levels(n_max: int) -> Iterator[tuple[int, dict[bytes, int]]]:
     process; the tables of words are built afresh on every call. Keys hash
     once and, with letters < 256, sort as tuples do. Every permutation has
     exactly one image, so a table whose values do not add up to n! is rejected.
+    A build past ``SWEEP_LIMIT`` is refused before any work.
     """
+    if n_max > SWEEP_LIMIT:
+        raise SizeLimitExceededError(f"a sweep of S_{n_max} exceeds the limit n <= {SWEEP_LIMIT}")
     tables: list[dict[bytes, int]] = [{b"": 1}]
     for n in range(1, n_max + 1):
         table: dict[bytes, int] = {}
@@ -105,11 +108,6 @@ def _levels(n_max: int) -> Iterator[tuple[int, dict[bytes, int]]]:
         yield n, table
 
 
-def _check_sweep(n: int) -> None:
-    if n > SWEEP_LIMIT:
-        raise SizeLimitExceededError(f"a sweep of S_{n} exceeds the limit n <= {SWEEP_LIMIT}")
-
-
 def spectrum(n: int) -> SpectrumReport:
     """Every positive fertility attained in S_n, read off the level tables.
 
@@ -119,7 +117,6 @@ def spectrum(n: int) -> SpectrumReport:
     """
     if n < 1:
         raise InvalidArgumentError("n must be positive")
-    _check_sweep(n)
     *_, (_, table) = _levels(n)
     witnesses: dict[int, bytes] = {}
     for w, value in table.items():
@@ -142,10 +139,9 @@ def classify(f: int, n_max: int, cache: Mapping[str, int] | None = None) -> Clas
     exhausting a smaller range is only ever "unknown".
 
     A word of even length n >= 2 has even fertility, so for an odd f an even
-    bound is settled without building S_bound: the scan stops at bound - 1,
-    and that highest level built is what is checked against ``SWEEP_LIMIT``,
-    only once no shortcut applies. The proof uses only the recursion that
-    ``fertility`` implements, F(a, b) for the fertility of w[a:b]:
+    bound is settled without building S_bound: the scan stops at bound - 1.
+    The proof uses only the recursion that ``fertility`` implements, F(a, b)
+    for the fertility of w[a:b]:
     - a w not ending in n has fertility 0; else fert(w) = Σ_i F(0, i)·F(i, n-1),
       whose parts have lengths i and n-1-i, of opposite parity;
     - for 1 <= i <= n-2 the even part has length >= 2, so its term is even by
@@ -165,7 +161,6 @@ def classify(f: int, n_max: int, cache: Mapping[str, int] | None = None) -> Clas
         return ClassifyResult(f, VERDICT_FERTILE, report.witness, 0)
     bound = min(n_max, f + 1)  # f >= 1 here: 0 always has a witness above
     top = bound - 1 if f % 2 and bound % 2 == 0 else bound
-    _check_sweep(top)
     for n, table in _levels(top):
         if f in table.values():
             hit = min(w for w, value in table.items() if value == f)

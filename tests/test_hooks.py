@@ -274,6 +274,16 @@ class TestFertility:
         for n in (0, 1, 2, 3, 50, 7200):
             assert fertility(tuple(range(1, n + 1))) == catalan(n)
 
+    def test_word_not_ending_in_its_maximum_skips_phase_1(self, monkeypatch):
+        # no hook can leave the maximum, so these words have no preimage; phase 1
+        # of the 50,000-letter word would take about 0.6 s and 180 MB
+        monkeypatch.setattr(hooks, "_sortedness", lambda w: pytest.fail("phase 1 ran"))
+        for n in (2, 3, 50, 50_000):
+            w = (n,) + tuple(range(1, n))
+            assert fertility(w) == 0
+            assert next(iter_vhc(w), None) is None
+            assert is_sorted(w) is False
+
 
 class TestHookWeightSum:
     """fertility() against the hook-weight sum and closed forms."""

@@ -123,6 +123,9 @@ class TestLevels:
             spectrum(SWEEP_LIMIT + 1)
         with pytest.raises(SizeLimitExceededError):
             classify(31, 20)
+        with pytest.raises(SizeLimitExceededError) as refused:
+            next(search._levels(SWEEP_LIMIT + 1))
+        assert str(refused.value) == "a sweep of S_12 exceeds the limit n <= 11"
         assert search._splits.cache_info().currsize == 0
 
     def test_uniquely_sorted_words(self, levels):
@@ -277,7 +280,8 @@ class TestClassify:
         def no_scan(*args):
             raise AssertionError("a scan started")
 
-        monkeypatch.setattr(search, "_levels", no_scan)
+        # the build refuses on its first next(), before its first split plan
+        monkeypatch.setattr(search, "_splits", no_scan)
         with pytest.raises(SizeLimitExceededError):
             classify(31, 20)
 
