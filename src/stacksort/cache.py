@@ -12,9 +12,10 @@ logger, and the next append cuts it off. Reads take runs of the lines
 ways test a key with :func:`_is_key` and a value with ``_VALUE``, the one
 statement of each rule.
 
-:func:`load` keeps one file's text and table in one slot per process and
-parses only the lines appended to that text since; a fresh process, another
-file or a rewritten one costs a parse of the whole file.
+:func:`load` keeps one file's bytes and table in one slot per process and
+decodes and parses only the lines appended to those bytes since; a fresh
+process, another file or a rewritten one costs a parse of the whole file. It
+returns a read-only view, so no caller can change what a later load returns.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ import os
 import re
 import sys
 from itertools import chain, compress
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CorruptRecordError, SizeLimitExceededError
 from .hooks import fertility
@@ -129,16 +131,26 @@ def _read(text: str, name: str = "", lineno: int = 1) -> Iterable[tuple[str, int
     return chain.from_iterable(chunks)
 
 
-def _text(path: str | os.PathLike) -> str:
+def _data(path: str | os.PathLike) -> bytes:
     """The whole file, read under a shared lock; a missing file reads as empty."""
-    if not os.path.exists(path):
-        return ""
-    with open(path, encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return b""
+    with fh:
         fcntl.flock(fh, fcntl.LOCK_SH)
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise CorruptRecordError(f"{os.fspath(path)}: {exc}") from None
+        return fh.read()
+
+
+def _decode(data: bytes, name: str, start: int = 0) -> str:
+    """``data[start:]`` as text, where ``start`` is 0 or follows a ``\n``. Invalid
+    UTF-8 is a :class:`CorruptRecordError` that counts from the start of ``data``."""
+    try:
+        return data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if start:  # decode from the start: the same bad byte, counted from there
+            return _decode(data, name)
+        raise CorruptRecordError(f"{name}: {exc}") from None
 
 
 def read_records(path: str | os.PathLike) -> list[CacheRecord]:
@@ -147,7 +159,8 @@ def read_records(path: str | os.PathLike) -> list[CacheRecord]:
     An unterminated last line that does not parse is skipped with a warning;
     a bad line anywhere else raises :class:`CorruptRecordError`.
     """
-    return list(map(CacheRecord._make, _read(_text(path), os.fspath(path))))
+    name = os.fspath(path)
+    return list(map(CacheRecord._make, _read(_decode(_data(path), name), name)))
 
 
 def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> None:
@@ -155,16 +168,19 @@ def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> N
 
     An unterminated last line is first cut off if it does not parse, or
     terminated if it does, so the new records start on a line of their own.
+    Only the file's last byte is read, unless it shows such a line.
     """
     payload = "".join(record_line(r) + "\n" for r in records)
     if not payload:
         return
     with open(path, "a+b") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
-        fh.seek(0)
-        data = fh.read()
-        start = data.rfind(b"\n") + 1
-        if start < len(data):
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - 1, 0))
+        if fh.read(1) not in (b"", b"\n"):  # an unterminated last line
+            fh.seek(0)
+            data = fh.read()
+            start = data.rfind(b"\n") + 1
             tail = data[start:].decode("utf-8", errors="replace")
             try:
                 _parse_line(tail, data.count(b"\n") + 1)
@@ -177,10 +193,11 @@ def append_records(path: str | os.PathLike, records: Iterable[CacheRecord]) -> N
         fh.flush()
 
 
-# what load parsed last: the text up to its last "\n", the number of the line
-# after it, the digit limit it was parsed under and its table; the tuple is
-# replaced whole and its table never changed, so loads in threads need no lock
-_last: tuple[str, int, int | None, dict[str, int]] = ("", 1, None, {})
+# what load parsed last: the file's bytes up to their last "\n", the number of
+# the line after them, the digit limit they were parsed under and their table;
+# the tuple is replaced whole and its table never changed (callers get a
+# read-only view of it), so loads in threads need no lock
+_last: tuple[bytes, int, int | None, dict[str, int]] = (b"", 1, None, {})
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # absent before 3.10.7
 
 
@@ -192,34 +209,37 @@ def _merge(table: dict[str, int], pairs: Iterable[tuple[str, int]]) -> dict[str,
     return table
 
 
-def load(path: str | os.PathLike) -> dict[str, int]:
-    """Collapse the record stream into a fresh key -> fertility map.
+def load(path: str | os.PathLike) -> Mapping[str, int]:
+    """Collapse the record stream into a read-only key -> fertility map.
 
     Rewriting a key is only legal with the same value; a conflicting
     duplicate means the file is corrupt.
 
-    The whole file is read each time, but when it starts with the text the
+    The whole file is read each time, but when it starts with the bytes the
     last load in this process parsed, under the same digit limit, only the
-    lines after that text are parsed. The one slot that holds that text and
-    its table is the memory this costs; any other text is parsed whole, as
-    it is in a fresh process. An unterminated last line never enters the
-    slot, so it is read, and warned about, on every load.
+    bytes after them are decoded and parsed. The one slot that holds those
+    bytes and their table is the memory this costs; any other file is parsed
+    whole, as it is in a fresh process. An unterminated last line never
+    enters the slot, so it is read, and warned about, on every load. The map
+    returned is a view of the slot's table, or of a copy with that last line
+    in it; ``dict(load(path))`` gives a table the caller may change.
     """
     global _last
     name = os.fspath(path)
-    text, limit = _text(path), _digit_limit()
+    data, limit = _data(path), _digit_limit()
     done, lineno, last_limit, table = _last
-    if last_limit != limit or not text.startswith(done):
-        done, lineno, table = "", 1, {}
-    end = text.rfind("\n") + 1
-    new = text[len(done):end]
-    pairs = _read(new, name, lineno)
+    if last_limit != limit or not data.startswith(done):
+        done, lineno, table = b"", 1, {}
+    text = _decode(data, name, len(done))  # a "\n" byte never occurs inside a UTF-8 sequence
+    cut = text.rfind("\n") + 1
+    new, tail = text[:cut], text[cut:]
+    pairs = _read(new, name, lineno) if new else ()
     lineno += new.count("\n")
-    tail = _read(text[end:], name, lineno)
+    tail_pairs = list(_read(tail, name, lineno)) if tail else []
     if new:
         table = _merge(dict(table), pairs)
-        _last = (text[:end], lineno, limit, table)
-    return _merge(dict(table), tail)
+        _last = (data[:data.rfind(b"\n") + 1], lineno, limit, table)
+    return MappingProxyType(_merge(dict(table), tail_pairs) if tail_pairs else table)
 
 
 def audit(path: str | os.PathLike) -> int:

@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from typing import Mapping
 
 from . import families
 from .errors import InvalidArgumentError, StacksortError
@@ -26,14 +27,14 @@ def _canon(p: Perm) -> str:
     return perm_text(p, compact=False)
 
 
-def _load_cache(path: str | None) -> dict[str, int]:
+def _load_cache(path: str | None) -> Mapping[str, int]:
     if not path:
         return {}
     from . import cache
     return cache.load(path)
 
 
-def _store_cache(path: str | None, entries: dict[Perm, int], known: dict[str, int]) -> None:
+def _store_cache(path: str | None, entries: dict[Perm, int], known: Mapping[str, int]) -> None:
     """Append the entries that ``known``, the table loaded from ``path``, lacks."""
     if not path:
         return

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import os
 import random
 import subprocess
@@ -197,7 +198,7 @@ def cold_load(path):
     """``cache.load`` as a fresh process runs it: from an empty slot. The
     slot the last load left is put back afterwards."""
     last = cache._last
-    cache._last = ("", 1, None, {})
+    cache._last = (b"", 1, None, {})
     try:
         return cache.load(path)
     finally:
@@ -205,10 +206,15 @@ def cold_load(path):
 
 
 def reference_load(path):
-    """Reference ``cache.load``: the records :func:`parse_lines` reads, first
-    value per key, and a conflicting duplicate is corrupt."""
+    """Reference ``cache.load``: the records :func:`parse_lines` reads from the
+    file decoded whole, first value per key, and a conflicting duplicate or
+    invalid UTF-8 is corrupt."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptRecordError(f"{path}: {exc}") from None
     table = {}
-    for key, value in parse_lines(path.read_bytes().decode("utf-8"), os.fspath(path)):
+    for key, value in parse_lines(text, os.fspath(path)):
         old = table.setdefault(key, value)
         if old != value:
             raise CorruptRecordError(f"conflicting values for {key!r}: {old} and {value}")
@@ -232,18 +238,22 @@ def load_outcome(load, path):
     return got, [(r.name, r.levelname, r.getMessage()) for r in logged]
 
 
-def warm_and_cold_loads(seed, steps, path):
+def warm_and_cold_loads(seed, steps, path, edits=None):
     """Edit the cache file at ``path`` ``steps`` times, seeded, and after each
     edit compare ``cache.load``, whose slot carries over from step to step,
     with :func:`cold_load` and :func:`reference_load`. Return the first edit
-    after which they differ, with the three outcomes, or None.
+    after which they differ, with the file's bytes and the three outcomes, or
+    None. A ``Counter`` passed as ``edits`` counts the edits made, by kind.
 
     The edits append record_line lines (a few with a conflicting value),
     odd lines (CRLF, blank, reordered, spaced, bad) and torn tails, mostly
     after cutting off an unterminated last line, and records through
     ``append_records``; they truncate the file, anywhere or at a line
     end; they change one digit in place and keep the mtime, or write a fresh
-    file; and they switch the digit limit and append a value above it.
+    file; and they switch the digit limit and append a value above it. Three
+    work on bytes: a line holding an invalid ``\xff``, a valid line with
+    non-ASCII text, and a torn tail of such a line that ends inside a
+    multi-byte sequence; truncations can then cut one too.
     """
     rng = random.Random(seed)
     keys = [" ".join(map(str, w)) for n in range(7) for w in all_perms(n)]
@@ -252,11 +262,14 @@ def warm_and_cold_loads(seed, steps, path):
     limit = sys.get_int_max_str_digits() if has_limit else 0
     if has_limit:
         sys.set_int_max_str_digits(0)
-    big = record_line(CacheRecord("1 2 3 4 5 6 7", 10 ** 4400)) + "\n"
+    big = (record_line(CacheRecord("1 2 3 4 5 6 7", 10 ** 4400)) + "\n").encode()
 
     def record():
         key = rng.choice(keys)
         return CacheRecord(key, values[key] + (rng.random() < 0.005))
+
+    def lines(count):
+        return "".join(record_line(record()) + "\n" for _ in range(count)).encode()
 
     def odd():
         key = rng.choice(keys)
@@ -266,57 +279,88 @@ def warm_and_cold_loads(seed, steps, path):
             '{"perm": "%s","fertility":"%s"}\n' % (key, value),
             '{"fertility":"%s","perm":"%s"}\n' % (value, key),
             "not json\n", '{"perm":"1 1","fertility":"2"}\n',
-            '{"perm":"%s","fertility":"0%s"}\n' % (key, value)])
+            '{"perm":"%s","fertility":"0%s"}\n' % (key, value)]).encode()
+
+    def non_ascii():
+        """A valid record whose line holds a non-ASCII field name and value."""
+        key = rng.choice(keys)
+        return ('{"perm":"%s","fertility":"%s","cl\u00e9":"\u2028\U0001d11e"}\n'
+                % (key, values[key])).encode()
 
     try:
         for step in range(steps):
-            text = path.read_bytes().decode("utf-8") if path.exists() else ""
+            data = path.read_bytes() if path.exists() else b""
             edit = rng.choices(["append", "append_records", "odd", "torn", "truncate",
-                                "digit", "fresh", "limit", "big"],
-                               [5, 2, 1, 1, 2, 1, 0.5, 0.5, 0.3])[0]
-            if edit in ("append", "odd", "big") and rng.random() < 0.8:
-                text = text[:text.rfind("\n") + 1]  # as append_records cuts a torn tail
+                                "digit", "fresh", "limit", "big", "invalid", "non_ascii",
+                                "torn_utf8"],
+                               [5, 2, 1, 1, 2, 1, 0.5, 0.5, 0.3, 0.2, 0.5, 0.3])[0]
+            if edits is not None:
+                edits[edit] += 1
+            if edit in ("append", "odd", "big", "invalid", "non_ascii") and rng.random() < 0.8:
+                data = data[:data.rfind(b"\n") + 1]  # as append_records cuts a torn tail
             if edit == "append":
-                text += "".join(record_line(record()) + "\n" for _ in range(rng.randint(1, 6)))
+                data += lines(rng.randint(1, 6))
             elif edit == "append_records":
                 try:
                     append_records(path, [record() for _ in range(rng.randint(1, 6))])
                 except StacksortError:  # a tail above the digit limit
                     pass
-                text = path.read_bytes().decode("utf-8")
+                data = path.read_bytes()
             elif edit == "odd":
-                text += odd()
+                data += odd()
             elif edit == "torn":
-                line = record_line(record())
-                text += line[:rng.randint(1, len(line))]
+                line = record_line(record()).encode()
+                data += line[:rng.randint(1, len(line))]
             elif edit == "truncate":
-                cut = rng.randint(0, len(text))
-                text = text[:text.rfind("\n", 0, cut) + 1 if rng.random() < 0.5 else cut]
+                cut = rng.randint(0, len(data))
+                data = data[:data.rfind(b"\n", 0, cut) + 1 if rng.random() < 0.5 else cut]
             elif edit == "digit":
-                digits = [i for i, c in enumerate(text) if c.isdigit()]
+                digits = [i for i, c in enumerate(data) if c in b"0123456789"]
                 if digits:
                     at = rng.choice(digits)
-                    text = text[:at] + rng.choice("0123456789") + text[at + 1:]
+                    data = data[:at] + bytes([rng.choice(b"0123456789")]) + data[at + 1:]
             elif edit == "fresh":
-                text = "".join(record_line(record()) + "\n" for _ in range(rng.randint(0, 12)))
+                data = lines(rng.randint(0, 12))
             elif edit == "limit" and has_limit:
                 sys.set_int_max_str_digits(4300 if sys.get_int_max_str_digits() == 0 else 0)
             elif edit == "big":
-                text += big
+                data += big
+            elif edit == "invalid":
+                line = record_line(record()).encode()
+                at = rng.randint(0, len(line))
+                data += line[:at] + b"\xff" + line[at:] + b"\n"
+            elif edit == "non_ascii":
+                data += non_ascii()
+            elif edit == "torn_utf8":  # cut before a continuation byte
+                line = non_ascii()
+                data += line[:rng.choice([i for i, c in enumerate(line) if c & 0xC0 == 0x80])]
             if edit != "append_records":
                 stat = path.stat() if path.exists() else None
-                path.write_bytes(text.encode("utf-8"))
-                if stat is not None:  # the same mtime: only the text tells of the edit
+                path.write_bytes(data)
+                if stat is not None:  # the same mtime: only the bytes tell of the edit
                     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
             warm = load_outcome(cache.load, path)
             cold = load_outcome(cold_load, path)
             reference = load_outcome(reference_load, path)
             if not warm == cold == reference:
-                return step, edit, text, warm, cold, reference
+                return step, edit, data, warm, cold, reference
     finally:
         if has_limit:
             sys.set_int_max_str_digits(limit)
     return None
+
+
+@lru_cache(maxsize=None)
+def lassalle(k):
+    """The k-th term of Lassalle's sequence (OEIS A180874), the number of
+    words of S_{2k-1} with exactly one preimage, by Lassalle's recurrence
+    (JCTA 119, 2012), with C_k the k-th Catalan number:
+    a(k) = (-1)^(k-1) (C_k + sum_{j=1}^{k-1} (-1)^j binom(2k-1, 2j-1) a(j) C_{k-j})."""
+    def catalan(m):
+        return math.comb(2 * m, m) // (m + 1)
+    return (-1) ** (k - 1) * (catalan(k) + sum(
+        (-1) ** j * math.comb(2 * k - 1, 2 * j - 1) * lassalle(j) * catalan(k - j)
+        for j in range(1, k)))
 
 
 def seed_witness_reference(f):

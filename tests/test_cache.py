@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -375,30 +376,73 @@ def seeded_records(count, sizes, seed):
 
 
 def test_a_second_load_checks_only_the_appended_keys(tmp_path, monkeypatch):
-    """A load of a file that starts with the text the last load parsed tests
-    only the keys after that text: none when nothing was appended."""
+    """A load of a file that starts with the bytes the last load parsed tests
+    only the keys after those bytes: none, and no call of the reader, when
+    nothing was appended."""
     path = tmp_path / "cache.jsonl"
     append_records(path, seeded_records(2000, range(1, 13), 27))
-    calls = []
+    calls, reads = [], []
     monkeypatch.setattr(cache, "_is_key", lambda text: calls.append(text) or _is_key(text))
-    monkeypatch.setattr(cache, "_last", ("", 1, None, {}))
+    monkeypatch.setattr(cache, "_read", lambda *args: reads.append(args) or _read(*args))
+    monkeypatch.setattr(cache, "_last", (b"", 1, None, {}))
     table = load(path)
     assert len(calls) == 2000
     calls.clear()
-    assert load(path) == table and calls == []
+    reads.clear()
+    assert load(path) == table and calls == [] and reads == []
     more = list(seeded_records(3, [13, 14], 28))
     append_records(path, more)
     assert load(path) == {**table, **dict(more)}
     assert calls == [r.perm for r in more]
 
 
-def test_load_returns_a_fresh_dict(tmp_path):
+def test_load_returns_a_read_only_view(tmp_path):
+    """No caller can change what a later load returns: the map refuses
+    writes, and a copy of it is the caller's own."""
     path = tmp_path / "cache.jsonl"
     path.write_text(GOOD + '{"perm":"1","fertility":"1"}')
-    table = load(path)
-    table["1 2"], table["1 2 3"] = 3, 5
-    del table["2 1"]
-    assert load(path) == {"1 2": 2, "2 1": 0, "1": 1}
+    for _ in range(2):  # a cold load, then a warm one
+        table = load(path)
+        with pytest.raises(TypeError):
+            table["1 2"] = 3
+        with pytest.raises(TypeError):
+            del table["2 1"]
+        copy = dict(table)
+        copy["1 2"], copy["1 2 3"] = 3, 5
+        del copy["2 1"]
+        assert load(path) == {"1 2": 2, "2 1": 0, "1": 1}
+
+
+class CountingFile:
+    """A file object that adds the length of everything it reads to ``counts``."""
+
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._counts.append(len(data))
+        return data
+
+
+def test_append_reads_only_the_last_byte(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    append_records(path, seeded_records(2000, range(1, 13), 27))
+    counts = []
+    monkeypatch.setattr(cache, "open", lambda *args: CountingFile(open(*args), counts),
+                        raising=False)
+    append_records(path, [CacheRecord("1 2 3", 5)])
+    assert counts and sum(counts) <= 1
+    assert path.read_bytes().endswith(b'"}\n{"perm":"1 2 3","fertility":"5"}\n')
 
 
 def test_a_rewrite_in_place_is_seen(tmp_path):
@@ -447,8 +491,10 @@ def test_a_torn_tail_warns_on_every_load(tmp_path, caplog):
 
 def test_warm_loads_match_cold_loads_over_seeded_edits(tmp_path):
     """A few hundred seeded appends, odd lines, torn tails, truncations,
-    rewrites and digit-limit switches; CI runs thousands."""
-    assert warm_and_cold_loads(27, 300, tmp_path / "cache.jsonl") is None
+    rewrites, digit-limit switches and byte-level edits; CI runs thousands."""
+    edits = Counter()
+    assert warm_and_cold_loads(27, 300, tmp_path / "cache.jsonl", edits) is None
+    assert all(edits[kind] for kind in ("invalid", "non_ascii", "torn_utf8"))
 
 
 APPENDER = """import sys

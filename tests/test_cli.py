@@ -569,9 +569,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("fertility", P27_TEXT, "--cache", "{tmp}/missing/cache.jsonl"),
         ("fertility", P27_TEXT, "--cache", "{tmp}"),
+        ("classify", "31", "--max-n", "7", "--cache", "{tmp}/file/cache.jsonl"),
         ("spectrum", "3", "--csv", "{tmp}/missing/spec.csv"),
         ("vhc", P27_TEXT, "--svg-out", "{tmp}/file"),
-    ], ids=["cache-in-missing-dir", "cache-is-a-dir", "csv-in-missing-dir", "svg-out-is-a-file"])
+    ], ids=["cache-in-missing-dir", "cache-is-a-dir", "cache-under-a-file", "csv-in-missing-dir",
+            "svg-out-is-a-file"])
     def test_file_system_errors_are_reported_like_domain_errors(self, capsys, tmp_path, argv):
         (tmp_path / "file").write_text("")
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))

@@ -28,7 +28,7 @@ from stacksort import (
     witness,
 )
 from stacksort import search
-from conftest import image_counts, level_tables, vhc_table
+from conftest import image_counts, lassalle, level_tables, vhc_table
 
 
 # one draw per shape and per row, not per entry: hypothesis pays for every draw
@@ -129,10 +129,11 @@ class TestLevels:
         assert search._splits.cache_info().currsize == 0
 
     def test_uniquely_sorted_words(self, levels):
-        # Lassalle's sequence (OEIS A180874); Defant, "Catalan intervals and
-        # uniquely sorted permutations" (JCTA 2020): a sorted word has
-        # fertility 1 exactly when it has (n - 1) / 2 descents, and no sorted
-        # word has more.
+        # Lassalle's sequence (OEIS A180874), computed by its recurrence;
+        # Defant, "Catalan intervals and uniquely sorted permutations" (JCTA
+        # 2020): a sorted word has fertility 1 exactly when it has (n - 1) / 2
+        # descents, and no sorted word has more.
+        assert [lassalle(k) for k in range(1, 8)] == [1, 1, 5, 56, 1092, 32670, 1387815]
         counts = []
         for n, table in levels.items():
             ones = 0
@@ -142,7 +143,7 @@ class TestLevels:
                 assert (value == 1) == (2 * k == n - 1), w
                 ones += value == 1
             counts.append(ones)
-        assert counts == [1, 0, 1, 0, 5, 0, 56, 0, 1092, 0]
+        assert counts == [lassalle((n + 1) // 2) if n % 2 else 0 for n in levels]
 
     def test_even_length_means_even_fertility(self, levels):
         # fert(w) = sum_i fert(w[:i]) * fert(w[i:n-1]) for w ending in n; at
